@@ -1,4 +1,4 @@
-"""Constrained minimization with a Lagrange multiplier found by secant.
+"""Constrained minimization with a Lagrange multiplier from the KKT Newton solve.
 
 Minimizes the energy of the half-derivative subject to a prescribed
 integral of that derivative. For ell = 1 the best derivative profile is
@@ -12,7 +12,6 @@ import numpy as np
 from fracvar import (
     Constraint,
     Grid,
-    SolveConfig,
     VarProblem,
     build_left_rlfd,
     solve_isoperimetric,
@@ -23,8 +22,7 @@ def run(ell, n_cells):
     problem = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian="v^2",
                          constraint=Constraint("v", ell), pins=(0.0, None))
     grid = Grid(0.0, 1.0, n_cells)
-    cfg = SolveConfig(max_iters=8000, grad_tol=1e-6)
-    return solve_isoperimetric(problem, grid, cfg), grid
+    return solve_isoperimetric(problem, grid), grid
 
 
 def main():

@@ -1,8 +1,8 @@
 """Minimize J(y) = integral of (D^0.5 y - 1)^2 and compare with the exact answer.
 
 The minimizer is y(x) = sqrt(x)/Gamma(1.5), whose half-derivative is
-identically 1. Gradient descent on the node values finds it from a cold
-start; the script reports the objective decay and the recovered channels.
+identically 1. Newton on the node values finds it from a cold start in
+one step; the script reports the objective decay and the recovered channels.
 """
 import argparse
 

@@ -38,7 +38,7 @@ from .problems import (
     _normalize_samples,
 )
 from .solve import SolveConfig, minimize, solve_isoperimetric
-from .solve import _default_y0 as _pins_start
+from .solve import _start as _solver_start
 
 __all__ = ["main"]
 
@@ -393,7 +393,7 @@ def _build_cfg(cfg: dict) -> SolveConfig:
 
 def _candidate_samples(cfg: dict, problem: VarProblem, grid: Grid) -> np.ndarray:
     if "candidate" not in cfg:
-        return _pins_start(problem, grid)
+        return _solver_start(problem, grid, None)
     rows = []
     for expr_text in cfg["candidate"]:
         vals = evaluate(parse(expr_text), {"x": grid.nodes})

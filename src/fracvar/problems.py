@@ -25,7 +25,15 @@ the adjoint weights and leaves interior residual values untouched.
 
 The discrete gradient of the functional with respect to node values equals
 omega_i * r_i exactly, where r is the Euler-Lagrange residual computed with
-the adjoint-built right operators.
+the adjoint-built right operators W^-1 A^T W, applied on the fly.
+
+The channel maps are linear and L acts pointwise, so the Hessian of the
+discrete functional is exact as well:
+
+    H = sum_ab A_a^T W diag(d2L/da db) A_b
+
+over the channel tables A_a, with the node-0 continuation folded into the
+weights (DiscreteProblem.hessian).
 """
 
 from __future__ import annotations
@@ -53,7 +61,6 @@ from .operators import (
     FracOrder,
     build_left_rlfd,
     build_left_rlfi,
-    build_right_adjoint,
 )
 
 __all__ = [
@@ -210,11 +217,13 @@ class Residual:
 class DiscreteProblem:
     """A problem bound to a grid, with operators and partials precomputed.
 
-    Exposes the channel maps (linear), the functional, the residual, and
-    the exact gradient; the solver drives everything through this object.
+    Exposes the channel maps (linear), the functional, the residual, the
+    exact gradient and the exact Hessian; the solver drives everything
+    through this object.  operators = (I_ops, D_ops) reuses the tables of
+    another DiscreteProblem on the same grid and orders.
     """
 
-    def __init__(self, problem: VarProblem, grid: Grid):
+    def __init__(self, problem: VarProblem, grid: Grid, operators=None):
         if not np.isclose(grid.a, problem.a) or not np.isclose(grid.b, problem.b):
             raise ValueError(
                 f"grid interval ({grid.a}, {grid.b}) does not match "
@@ -223,13 +232,13 @@ class DiscreteProblem:
         self.problem = problem
         self.grid = grid
         K = problem.n_unknowns
-        # integral channels carry the complementary order 1 - alpha
-        self.I_ops = tuple(
-            build_left_rlfi(grid, 1.0 - a.value) for a in problem.alphas
-        )
-        self.D_ops = tuple(build_left_rlfd(grid, b.value) for b in problem.betas)
-        self.RI_ops = tuple(build_right_adjoint(op) for op in self.I_ops)
-        self.RD_ops = tuple(build_right_adjoint(op) for op in self.D_ops)
+        if operators is None:
+            # integral channels carry the complementary order 1 - alpha
+            operators = (
+                tuple(build_left_rlfi(grid, 1.0 - a.value) for a in problem.alphas),
+                tuple(build_left_rlfd(grid, b.value) for b in problem.betas),
+            )
+        self.I_ops, self.D_ops = operators
         self.u_names = problem.u_names()
         self.v_names = problem.v_names()
         # channel c = (i-1)*K + (k-1): order index and unknown index
@@ -242,6 +251,11 @@ class DiscreteProblem:
         L = problem.lagrangian
         self.dL_du = tuple(differentiate(L, name) for name in self._u_eval_names())
         self.dL_dv = tuple(differentiate(L, name) for name in self._v_eval_names())
+
+    def with_lagrangian(self, lagrangian: Expr) -> "DiscreteProblem":
+        """The same problem and operator tables with another Lagrangian."""
+        other = dataclasses.replace(self.problem, lagrangian=lagrangian, constraint=None)
+        return DiscreteProblem(other, self.grid, (self.I_ops, self.D_ops))
 
     def _u_eval_names(self) -> tuple[str, ...]:
         # the name each channel is differentiated by / bound to
@@ -299,32 +313,84 @@ class DiscreteProblem:
         return self._residual_from(u, v)
 
     def _residual_from(self, u, v) -> np.ndarray:
+        # each right adjoint W^-1 A^T W is applied as A^T (w * q), with one
+        # division by w at the end
         env = self.env(u, v)
         w = self.grid.quad_weights
-        n = self.grid.n_cells
-        K = self.problem.n_unknowns
-        r = np.zeros((K, n + 1))
+        g = np.zeros((self.problem.n_unknowns, self.grid.n_cells + 1))
         for c, (i, k) in enumerate(self.u_channels):
             p_expr = self.dL_du[c]
             if p_expr == Num(0.0):
                 continue
-            r[k] += self.RI_ops[i].coeffs @ self._nodes_array(p_expr, env)
+            g[k] += self.I_ops[i].coeffs.T @ (w * self._nodes_array(p_expr, env))
         for c, (j, k) in enumerate(self.v_channels):
             q_expr = self.dL_dv[c]
             if q_expr == Num(0.0):
                 continue
-            q = self._nodes_array(q_expr, env)
-            # adjoint of the node-0 continuation: fold the first weight onto
+            wq = w * self._nodes_array(q_expr, env)
+            # adjoint of the node-0 continuation: fold node 0's weight onto
             # node 1 and drop node 0
-            qt = q.copy()
-            qt[0] = 0.0
-            qt[1] = q[1] + (w[0] / w[1]) * q[0]
-            r[k] += self.RD_ops[j].coeffs @ qt
-        return r
+            wq[1] += wq[0]
+            wq[0] = 0.0
+            g[k] += self.D_ops[j].coeffs.T @ wq
+        return g / w
 
     def gradient(self, Y: np.ndarray) -> np.ndarray:
         """d(functional)/d(node values); exactly quad_weights * residual."""
         return self.grid.quad_weights * self.residual_values(Y)
+
+    # -- Hessian -----------------------------------------------------------
+
+    @cached_property
+    def _second_partials(self) -> tuple[tuple[int, int, Expr], ...]:
+        # (a, b, d2L/da db) for a <= b over the u channels, then the v
+        # channels; identically zero partials are dropped
+        names = self._u_eval_names() + self._v_eval_names()
+        out = []
+        for a, first in enumerate(self.dL_du + self.dL_dv):
+            for b in range(a, len(names)):
+                e = differentiate(first, names[b])
+                if e != Num(0.0):
+                    out.append((a, b, e))
+        return tuple(out)
+
+    def curvature(self, u, v) -> dict[tuple[int, int], np.ndarray]:
+        """Node samples of the nonzero second partials of L.
+
+        Keyed by channel pair (a, b), a <= b, indexing the u channels first
+        and then the v channels.  Samples add linearly, so the curvature of
+        L + lam*g is the sum of the two dictionaries.
+        """
+        env = self.env(u, v)
+        return {(a, b): self._nodes_array(e, env) for a, b, e in self._second_partials}
+
+    def hessian(self, curvature: dict, free: Sequence[slice]) -> np.ndarray:
+        """Exact Hessian of the functional on the free node values.
+
+        free holds one contiguous slice of node indices per unknown; rows and
+        columns follow the unknowns in order.  The tables enter as views of
+        their free columns.  The node-0 continuation of the v channels is
+        folded into the weights: row 0 of a continued v channel repeats row
+        1, and row 0 of an integral table is zero.
+        """
+        w = self.grid.quad_weights
+        tables = [(self.I_ops[i].coeffs, k) for i, k in self.u_channels]
+        tables += [(self.D_ops[j].coeffs, k) for j, k in self.v_channels]
+        n_u = len(self.u_channels)
+        offsets = np.cumsum([0] + [s.stop - s.start for s in free])
+        blocks = [slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
+        H = np.zeros((offsets[-1], offsets[-1]))
+        for (a, b), s in curvature.items():
+            ws = w * s
+            if a >= n_u:  # v-v pair
+                ws[1] += ws[0]
+            ws[0] = 0.0
+            (A, ka), (B, kb) = tables[a], tables[b]
+            blk = A[:, free[ka]].T @ (ws[:, None] * B[:, free[kb]])
+            H[blocks[ka], blocks[kb]] += blk
+            if a != b:
+                H[blocks[kb], blocks[ka]] += blk.T
+        return H
 
 
 def assemble(problem: VarProblem, grid: Grid) -> DiscreteProblem:

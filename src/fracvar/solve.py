@@ -1,40 +1,58 @@
 """Direct minimization of discretized fractional functionals.
 
-Plain gradient descent with Armijo backtracking on the free node values;
-pinned endpoint values never move.  The isoperimetric mode wraps the same
-descent in a secant iteration on the multiplier.
+minimize runs damped Newton on the free node values with the exact Hessian
+(DiscreteProblem.hessian); pinned endpoint values never move.  Each step
+solves H d = -g after a Cholesky test.  When H does not factor (nonconvex
+L, or the flat direction the node-0 continuation leaves when nothing fixes
+the first node), a diagonal shift from 1e-12 max|diag H| grows tenfold
+until it does; -g replaces the step only if that is not a descent
+direction.  Armijo backtracking starts every line search at step_init, so
+the J history is nonincreasing; a trial point outside the Lagrangian's
+domain counts as a rejected step.
 
-The channel maps are linear, so each line search evaluates trial points by
-shifting precomputed channel images of the descent direction; no operator
-products happen inside the backtracking loop.
+solve_isoperimetric runs equality-constrained Newton: each iteration solves
+
+    [H_L + lam H_g   grad C] [  d    ]   [ -grad J   ]
+    [grad C^T          0   ] [lam_new] = [-(C - ell)]
+
+for the step and the new multiplier together, backtracking on the squared
+residual of the optimality conditions.  A vanishing constraint gradient or
+a singular bordered matrix is the abnormal case: it is reported with
+lam=None and a RuntimeWarning, not solved.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .expressions import ExprDomainError
 from .grids import Grid, SampledFn
-from .problems import (
-    DiscreteProblem,
-    VarProblem,
-    assemble,
-    augmented_lagrangian,
-    _normalize_samples,
-)
+from .problems import DiscreteProblem, VarProblem, assemble, _normalize_samples
 
 __all__ = ["SolveConfig", "SolveReport", "gradient", "minimize", "solve_isoperimetric"]
 
-# outer secant iteration budget and stagnation window for the multiplier search
-_MAX_OUTER = 50
-_STAGNATION_WINDOW = 5
+# first diagonal shift relative to max|diag H|, and the largest one tried
+_SHIFT_START = 1e-12
+_SHIFT_MAX = 1e12
+# a line search gives up below this step
+_MIN_STEP = 1e-18
+# a constraint gradient at or below this weighted norm is treated as zero
+_ABNORMAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Descent and multiplier-search parameters."""
+    """Newton and line-search parameters.
+
+    grad_tol bounds the weighted residual norm on free nodes (of the
+    multiplier-augmented problem in the isoperimetric mode), multiplier_tol
+    the constraint gap, and step_init is the first trial step of each line
+    search.
+    """
 
     max_iters: int = 5000
     grad_tol: float = 1e-8
@@ -90,31 +108,19 @@ def _pack_y(grid: Grid, Y: np.ndarray):
     return fns[0] if len(fns) == 1 else fns
 
 
-def _default_y0(problem: VarProblem, grid: Grid) -> np.ndarray:
-    """Zero samples bent linearly through whatever endpoints are pinned."""
-    K = problem.n_unknowns
-    x = grid.nodes
-    Y = np.zeros((K, grid.n_nodes))
-    for k, (left, right) in enumerate(problem.pins):
-        lo = 0.0 if left is None else left
-        hi = 0.0 if right is None else right
-        if left is not None or right is not None:
-            Y[k] = lo + (hi - lo) * (x - grid.a) / (grid.b - grid.a)
-    return Y
-
-
-def _free_mask(problem: VarProblem, grid: Grid) -> np.ndarray:
-    mask = np.ones((problem.n_unknowns, grid.n_nodes), dtype=bool)
-    for k, (left, right) in enumerate(problem.pins):
-        if left is not None:
-            mask[k, 0] = False
-        if right is not None:
-            mask[k, -1] = False
-    return mask
-
-
-def _apply_pins(problem: VarProblem, Y: np.ndarray) -> np.ndarray:
-    Y = Y.copy()
+def _start(problem: VarProblem, grid: Grid, y0) -> np.ndarray:
+    """y0 with the pins written in; by default zero samples bent linearly
+    through whatever endpoints are pinned."""
+    if y0 is None:
+        x = grid.nodes
+        Y = np.zeros((problem.n_unknowns, grid.n_nodes))
+        for k, (left, right) in enumerate(problem.pins):
+            if left is not None or right is not None:
+                lo = 0.0 if left is None else left
+                hi = 0.0 if right is None else right
+                Y[k] = lo + (hi - lo) * (x - grid.a) / (grid.b - grid.a)
+    else:
+        Y = _normalize_samples(problem, grid, y0).copy()
     for k, (left, right) in enumerate(problem.pins):
         if left is not None:
             Y[k, 0] = left
@@ -123,9 +129,50 @@ def _apply_pins(problem: VarProblem, Y: np.ndarray) -> np.ndarray:
     return Y
 
 
+def _free_nodes(problem: VarProblem, grid: Grid):
+    """Free node indices of each unknown as slices, and as a mask of Y.
+
+    Pins sit only at nodes 0 and N, so each unknown's free nodes are
+    contiguous.  Y[mask] lists them unknown by unknown, the order of the
+    rows and columns of DiscreteProblem.hessian.
+    """
+    n = grid.n_cells
+    free = tuple(
+        slice(0 if left is None else 1, n + 1 if right is None else n)
+        for left, right in problem.pins
+    )
+    mask = np.zeros((len(free), n + 1), dtype=bool)
+    for k, s in enumerate(free):
+        mask[k, s] = True
+    return free, mask
+
+
 def _free_residual_norm(dp: DiscreteProblem, r: np.ndarray, mask: np.ndarray) -> float:
     w = dp.grid.quad_weights
     return float(np.sqrt(np.sum(w * r * r * mask)))
+
+
+def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Solve H d = -g, shifting the diagonal of H (in place) until it factors.
+
+    Falls back to -g when no shift up to _SHIFT_MAX max|diag H| factors or
+    the shifted step is not a descent direction.
+    """
+    n = g.size
+    scale = float(np.max(np.abs(np.diagonal(H)), initial=0.0)) or 1.0
+    shift = 0.0
+    while True:
+        try:
+            np.linalg.cholesky(H)
+            break
+        except np.linalg.LinAlgError:
+            nxt = _SHIFT_START * scale if shift == 0.0 else 10.0 * shift
+            if nxt > _SHIFT_MAX * scale:
+                return -g
+            H.flat[:: n + 1] += nxt - shift
+            shift = nxt
+    d = np.linalg.solve(H, -g)
+    return d if g @ d < 0.0 else -g
 
 
 def gradient(problem: VarProblem, y, grid: Grid) -> np.ndarray:
@@ -139,57 +186,24 @@ def gradient(problem: VarProblem, y, grid: Grid) -> np.ndarray:
     return g[0] if problem.n_unknowns == 1 else g
 
 
-def _descend(
-    dp: DiscreteProblem,
-    cfg: SolveConfig,
-    Y: np.ndarray,
-    mask: np.ndarray,
-) -> tuple[np.ndarray, float, float, int, bool, list]:
-    """Armijo gradient descent; returns (Y, J, residual_norm, iters, converged, history)."""
-    problem = dp.problem
-    u, v = dp.channels(Y)
-    J = dp.functional_value(problem.lagrangian, u, v)
-    history = []
-    step = cfg.step_init
-    iters = 0
-    converged = False
-    norm = np.inf
-    for _ in range(cfg.max_iters + 1):
-        r = dp._residual_from(u, v)
-        g = dp.grid.quad_weights * r * mask
-        if not np.isfinite(J) or not np.all(np.isfinite(g)):
-            raise ArithmeticError(
-                f"non-finite functional value or gradient at iteration {iters}"
-            )
-        norm = _free_residual_norm(dp, r * mask, mask)
-        history.append((J, norm))
-        if norm <= cfg.grad_tol:
-            converged = True
-            break
-        if iters >= cfg.max_iters:
-            break
-        d = -g
-        du, dv = dp.channels(d)
-        slope = -float(np.sum(g * g))  # <g, d> with d = -g
-        t = 2.0 * step  # optimistic warm start from the last accepted step
-        while True:
-            trial_u = [a + t * b for a, b in zip(u, du)]
-            trial_v = [a + t * b for a, b in zip(v, dv)]
-            J_t = dp.functional_value(problem.lagrangian, trial_u, trial_v)
-            if np.isfinite(J_t) and J_t <= J + cfg.armijo_c * t * slope:
-                break
-            t *= cfg.armijo_shrink
-            if t < 1e-18:
-                break
-        if t < 1e-18:
-            # no admissible step; numerically stuck
-            break
-        Y = Y + t * d
-        u, v = trial_u, trial_v
-        J = J_t
-        step = t
-        iters += 1
-    return Y, J, norm, iters, converged, history
+def _shifted(base, step, t):
+    return [a + t * b for a, b in zip(base, step)]
+
+
+def _backtrack(cfg: SolveConfig, trial):
+    """Armijo backtracking from step_init: the first (t, trial(t)) that is
+    not None, or (None, None) once t drops below _MIN_STEP.  A trial point
+    outside the Lagrangian's domain counts as rejected."""
+    t = cfg.step_init
+    while t >= _MIN_STEP:
+        try:
+            out = trial(t)
+        except ExprDomainError:
+            out = None
+        if out is not None:
+            return t, out
+        t *= cfg.armijo_shrink
+    return None, None
 
 
 def minimize(
@@ -198,24 +212,60 @@ def minimize(
     cfg: SolveConfig | None = None,
     y0=None,
 ) -> SolveReport:
-    """Gradient descent with Armijo backtracking on the free node values.
+    """Damped Newton with the exact Hessian on the free node values.
 
     Pinned entries of y0 are overwritten with the pin values; the default
     start interpolates linearly through the pins (zero at unpinned ends).
-    Hitting max_iters sets converged=False without raising.
+    An ExprDomainError at the starting point propagates; hitting max_iters
+    or a stalled line search sets converged=False without raising.
     """
     if problem.constraint is not None:
         raise ValueError("minimize handles unconstrained problems; "
                          "use solve_isoperimetric when a constraint is present")
     cfg = cfg or SolveConfig()
     dp = assemble(problem, grid)
-    if y0 is None:
-        Y = _default_y0(problem, grid)
-    else:
-        Y = _normalize_samples(problem, grid, y0)
-    Y = _apply_pins(problem, Y)
-    mask = _free_mask(problem, grid)
-    Y, J, norm, iters, converged, history = _descend(dp, cfg, Y, mask)
+    L = problem.lagrangian
+    w = grid.quad_weights
+    free, mask = _free_nodes(problem, grid)
+    Y = _start(problem, grid, y0)
+    u, v = dp.channels(Y)
+    J = dp.functional_value(L, u, v)
+    history = []
+    iters = 0
+    converged = False
+    while True:
+        r = dp._residual_from(u, v)
+        g = (w * r)[mask]
+        if not np.isfinite(J) or not np.all(np.isfinite(g)):
+            raise ArithmeticError(
+                f"non-finite functional value or gradient at iteration {iters}"
+            )
+        norm = _free_residual_norm(dp, r, mask)
+        history.append((J, norm))
+        if norm <= cfg.grad_tol:
+            converged = True
+            break
+        if iters >= cfg.max_iters:
+            break
+        d = _newton_direction(dp.hessian(dp.curvature(u, v), free), g)
+        D = np.zeros(Y.shape)
+        D[mask] = d
+        du, dv = dp.channels(D)
+        slope = float(g @ d)
+
+        def trial(t):
+            u_t, v_t = _shifted(u, du, t), _shifted(v, dv, t)
+            J_t = dp.functional_value(L, u_t, v_t)
+            if np.isfinite(J_t) and J_t <= J + cfg.armijo_c * t * slope:
+                return u_t, v_t, J_t
+            return None
+
+        t, accepted = _backtrack(cfg, trial)
+        if t is None:
+            break  # no admissible step; numerically stuck
+        Y = Y + t * D
+        u, v, J = accepted
+        iters += 1
     return SolveReport(
         y=_pack_y(grid, Y),
         J=J,
@@ -234,124 +284,110 @@ def solve_isoperimetric(
     cfg: SolveConfig | None = None,
     y0=None,
 ) -> SolveReport:
-    """Secant iteration on the multiplier around inner unconstrained solves.
+    """Equality-constrained Newton on the bordered (KKT) system.
 
-    phi(lam) is the constraint gap of the minimizer of J + lam*constraint;
-    the secant starts from lam = 0 and lam = 1 and each inner solve warm
-    starts at the previous minimizer.  A numerically zero constraint
-    gradient at the start, or a stalled |phi|, signals the degenerate case
-    in which the candidate may be an extremal of the constraint functional
-    itself; that is reported with a warning, not solved.
+    Starts from lam = 0 and updates y and lam together.  Converged means
+    the augmented residual is at most grad_tol and the constraint gap at
+    most multiplier_tol.  A numerically zero constraint gradient, or a
+    singular bordered matrix, at any iterate signals the abnormal case, in
+    which the candidate may be an extremal of the constraint functional
+    itself; it is reported with a RuntimeWarning and lam=None, not solved.
     """
     if problem.constraint is None:
         raise ValueError("solve_isoperimetric requires a problem with a constraint")
     cfg = cfg or SolveConfig()
     con = problem.constraint
+    dp = assemble(dataclasses.replace(problem, constraint=None), grid)
+    dp_con = dp.with_lagrangian(con.g)
+    L = problem.lagrangian
+    w = grid.quad_weights
+    free, mask = _free_nodes(problem, grid)
+    Y = _start(problem, grid, y0)
 
-    if y0 is None:
-        Y = _default_y0(problem, grid)
-    else:
-        Y = _normalize_samples(problem, grid, y0)
-    Y = _apply_pins(problem, Y)
-    mask = _free_mask(problem, grid)
-
-    base = augmented_lagrangian(problem, 0.0)
-    dp0 = assemble(base, grid)
-
-    # degenerate-case screen: gradient of the constraint functional at the start
-    con_problem = VarProblem(
-        a=problem.a,
-        b=problem.b,
-        alphas=problem.alphas,
-        betas=problem.betas,
-        lagrangian=con.g,
-        n_unknowns=problem.n_unknowns,
-        pins=problem.pins,
-    )
-    dp_con = assemble(con_problem, grid)
-    con_grad_norm = _free_residual_norm(dp_con, dp_con.residual_values(Y) * mask, mask)
-    if con_grad_norm <= 1e-10:
-        warnings.warn(
-            "constraint gradient is numerically zero at the starting point; "
-            "the candidate may be an extremal of the constraint functional "
-            "(degenerate multiplier case), not solving",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        u, v = dp0.channels(Y)
-        gap = dp0.functional_value(con.g, u, v) - con.ell
-        return SolveReport(
-            y=_pack_y(grid, Y),
-            J=dp0.functional_value(problem.lagrangian, u, v),
-            residual_norm=_free_residual_norm(dp0, dp0._residual_from(u, v) * mask, mask),
-            lam=None,
-            constraint_gap=gap,
-            iters=0,
-            converged=False,
-            history=np.empty((0, 2)),
-        )
-
-    def inner(lam: float, Y_start: np.ndarray):
-        aug = augmented_lagrangian(problem, lam)
-        dp = assemble(aug, grid)
-        Y_min, J_aug, norm, iters, conv, hist = _descend(dp, cfg, Y_start, mask)
-        u, v = dp.channels(Y_min)
+    def state(u, v):
+        """J, constraint gap and the residuals of J and C at (u, v)."""
+        J = dp.functional_value(L, u, v)
         gap = dp.functional_value(con.g, u, v) - con.ell
-        J_orig = dp.functional_value(problem.lagrangian, u, v)
-        return Y_min, J_orig, norm, iters, conv, hist, gap
+        return J, gap, dp._residual_from(u, v), dp_con._residual_from(u, v)
 
-    lam_prev, lam_cur = 0.0, 1.0
-    Y, J, norm, it0, conv, hist, phi_prev = inner(lam_prev, Y)
-    total_iters = it0
-    best = (abs(phi_prev), lam_prev, Y, J, norm, conv, hist, phi_prev)
-    best_outer = 0
-    outer = 0
-    abnormal = False
-    if abs(phi_prev) > cfg.multiplier_tol:
-        while outer < _MAX_OUTER:
-            outer += 1
-            Y, J, norm, it, conv, hist, phi_cur = inner(lam_cur, Y)
-            total_iters += it
-            if abs(phi_cur) < best[0]:
-                best = (abs(phi_cur), lam_cur, Y, J, norm, conv, hist, phi_cur)
-                best_outer = outer
-            if abs(phi_cur) <= cfg.multiplier_tol:
-                break
-            if outer - best_outer >= _STAGNATION_WINDOW:
-                # |phi| has not improved for several outer steps
-                abnormal = True
-                break
-            denom = phi_cur - phi_prev
-            if denom == 0.0:
-                abnormal = True
-                break
-            lam_next = lam_cur - phi_cur * (lam_cur - lam_prev) / denom
-            lam_prev, phi_prev = lam_cur, phi_cur
-            lam_cur = lam_next
-        else:
+    def merit(gap, r_J, r_C, lam):
+        """Squared residual of the optimality conditions."""
+        g = (w * (r_J + lam * r_C))[mask]
+        return float(g @ g + gap * gap)
+
+    u, v = dp.channels(Y)
+    lam = 0.0
+    J, gap, r_J, r_C = state(u, v)
+    history = []
+    iters = 0
+    converged = abnormal = False
+    while True:
+        r = r_J + lam * r_C
+        if not np.isfinite(J + gap) or not np.all(np.isfinite(r)):
+            raise ArithmeticError(
+                f"non-finite functional value or gradient at iteration {iters}"
+            )
+        norm = _free_residual_norm(dp, r, mask)
+        history.append((J, norm))
+        if _free_residual_norm(dp, r_C, mask) <= _ABNORMAL_TOL:
             abnormal = True
-    else:
-        # lam = 0 already satisfies the constraint
-        best = (abs(phi_prev), 0.0, Y, J, norm, conv, hist, phi_prev)
+            break
+        if norm <= cfg.grad_tol and abs(gap) <= cfg.multiplier_tol:
+            converged = True
+            break
+        if iters >= cfg.max_iters:
+            break
+        curv = dp.curvature(u, v)
+        for key, s in dp_con.curvature(u, v).items():
+            curv[key] = curv[key] + lam * s if key in curv else lam * s
+        gC = (w * r_C)[mask]
+        n = gC.size
+        kkt = np.zeros((n + 1, n + 1))
+        kkt[:n, :n] = dp.hessian(curv, free)
+        kkt[:n, n] = kkt[n, :n] = gC
+        try:
+            sol = np.linalg.solve(kkt, np.append(-(w * r_J)[mask], -gap))
+        except np.linalg.LinAlgError:
+            sol = np.full(n + 1, np.nan)
+        if not np.all(np.isfinite(sol)):
+            abnormal = True
+            break
+        D = np.zeros(Y.shape)
+        D[mask] = sol[:n]
+        du, dv = dp.channels(D)
+        m0 = merit(gap, r_J, r_C, lam)
+
+        def trial(t):
+            lam_t = lam + t * (sol[n] - lam)
+            u_t, v_t = _shifted(u, du, t), _shifted(v, dv, t)
+            J_t, gap_t, r_J_t, r_C_t = state(u_t, v_t)
+            m_t = merit(gap_t, r_J_t, r_C_t, lam_t)
+            if np.isfinite(m_t) and m_t <= (1.0 - 2.0 * cfg.armijo_c * t) * m0:
+                return u_t, v_t, lam_t, J_t, gap_t, r_J_t, r_C_t
+            return None
+
+        t, accepted = _backtrack(cfg, trial)
+        if t is None:
+            break  # no admissible step; numerically stuck
+        Y = Y + t * D
+        u, v, lam, J, gap, r_J, r_C = accepted
+        iters += 1
 
     if abnormal:
         warnings.warn(
-            "multiplier search stalled: |constraint gap| stopped decreasing; "
-            "the minimizer may be an extremal of the constraint functional "
-            "(degenerate multiplier case), returning the best iterate found",
+            f"constraint gradient vanishes or the bordered Newton matrix is "
+            f"singular at iteration {iters}; the candidate may be an extremal "
+            "of the constraint functional (abnormal multiplier case), not solving",
             RuntimeWarning,
             stacklevel=2,
         )
-
-    _, lam_best, Y, J, norm, inner_conv, hist, gap = best
-    converged = (not abnormal) and inner_conv and abs(gap) <= cfg.multiplier_tol
     return SolveReport(
         y=_pack_y(grid, Y),
         J=J,
         residual_norm=norm,
-        lam=lam_best,
+        lam=None if abnormal else lam,
         constraint_gap=gap,
-        iters=total_iters,
+        iters=iters,
         converged=converged,
-        history=np.array(hist),
+        history=np.array(history),
     )

@@ -110,7 +110,10 @@ def test_solve_iso_lambda_fixture(tmp_path):
 
 
 def test_nonconvergence_exits_4(tmp_path):
-    doc = base_solve_doc(solver={"max_iters": 3, "grad_tol": 1e-14})
+    # Newton solves a quadratic in one step; the quartic term keeps three
+    # steps short of grad_tol
+    doc = base_solve_doc(lagrangian="(v - 1)^2 + v^4",
+                         solver={"max_iters": 3, "grad_tol": 1e-14})
     out = tmp_path / "out"
     rc = main(["run", write_problem(tmp_path / "p.json", doc), "--out", str(out), "--quiet"])
     assert rc == 4

@@ -1,4 +1,6 @@
-"""Gradient descent driver and the isoperimetric outer loop."""
+"""Newton driver, its exact Hessian, and the isoperimetric KKT solve."""
+import math
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,11 @@ from fracvar import (
     Grid,
     SolveConfig,
     VarProblem,
+    assemble,
     build_left_rlfd,
     build_left_rlfi,
     el_residual,
+    el_residual_general,
     evaluate_functional,
     gamma,
     gradient,
@@ -102,6 +106,37 @@ def test_nonfinite_gradient_raises(grid64):
         minimize(p, grid64, y0=y0)
 
 
+def test_mixed_channels_converge():
+    g = Grid(0.0, 1.0, 128)
+    p = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian="v^2 + u*v + x*u + u^2")
+    report = minimize(p, g, SolveConfig(max_iters=5000))
+    assert report.converged
+    assert el_residual(p, report.y, g).norm <= 1e-6
+
+
+def test_log_lagrangian_without_pins(grid64):
+    # no pin and no u channel: the node-0 continuation leaves H singular by
+    # one, so the Newton step needs the diagonal shift
+    p = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian="v^2 - log(v + 2)")
+    report = minimize(p, grid64)
+    assert report.converged
+    v = build_left_rlfd(grid64, 0.5).apply(report.y.values)
+    # 2v - 1/(v + 2) = 0
+    assert np.max(np.abs(v[1:] - (-1.0 + math.sqrt(1.5)))) <= 1e-6
+
+
+def test_trial_point_outside_domain_is_rejected(grid64):
+    # the full Newton step from y = 0 crosses v = 2, where log(2 - v) is
+    # undefined; the line search must shrink instead of raising
+    p = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian="(v - 3)^2 - log(2 - v)")
+    report = minimize(p, grid64)
+    assert report.converged
+    assert np.all(np.diff(report.history[:, 0]) <= 0.0)
+    v = build_left_rlfd(grid64, 0.5).apply(report.y.values)
+    # 2(v - 3) + 1/(2 - v) = 0 on the branch v < 2
+    assert np.max(np.abs(v[1:] - (5.0 - math.sqrt(3.0)) / 2.0)) <= 1e-6
+
+
 def test_persample_overflow_surfaces_from_expressions(grid64):
     # blowing up the samples themselves is caught earlier, by the evaluator
     p = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian="exp(u)")
@@ -158,6 +193,55 @@ def test_first_variation_consistency(grid64):
         assert abs((J1 - J0) / eps - directional) <= 1e-4 * abs(directional)
 
 
+# ---------------------------------------------------------------- Hessian
+
+# two unknowns, alphas (0.3, 0.7), betas (0.4, 0.6): every channel enters,
+# with u-u, u-v and v-v cross terms, and exp makes the curvature vary
+TWO_UNKNOWN = ("(v1 - x)^2 + v2^2 + v3^2 + (v4 - 1)^2 + v1*v4/2 + u1^2 + u1*v2/4"
+               " + u2^2 + u3*u4/4 + exp(u4)/8")
+
+
+def two_unknown_problem():
+    # y1 pinned on the left, y2 free everywhere: the Hessian blocks have
+    # different sizes, and y2's node-0 continuation is folded into the weights
+    return VarProblem(0.0, 1.0, alphas=(0.3, 0.7), betas=(0.4, 0.6), lagrangian=TWO_UNKNOWN,
+                      n_unknowns=2, pins=((0.0, None), (None, None)))
+
+
+def test_hessian_matches_gradient_differences():
+    p = two_unknown_problem()
+    g = Grid(0.0, 1.0, 32)
+    n = g.n_cells
+    x = g.nodes
+    Y = np.array([np.sin(2.0 * x) + x, 0.5 * np.cos(3.0 * x)])
+    Y[0, 0] = 0.0
+    free = (slice(1, n + 1), slice(0, n + 1))
+    dp = assemble(p, g)
+    H = dp.hessian(dp.curvature(*dp.channels(Y)), free)
+    assert H.shape == (2 * n + 1, 2 * n + 1)
+    assert np.max(np.abs(H - H.T)) <= 1e-12 * np.max(np.abs(H))
+    rng = np.random.default_rng(59)
+    D = rng.standard_normal(Y.shape)
+    D[0, 0] = 0.0
+    eps = 1e-5
+    fd = (gradient(p, Y + eps * D, g) - gradient(p, Y - eps * D, g)) / (2.0 * eps)
+    fd_free = np.concatenate((fd[0, 1:], fd[1]))
+    Hd = H @ np.concatenate((D[0, 1:], D[1]))
+    assert np.max(np.abs(Hd - fd_free)) <= 1e-8 * np.max(np.abs(fd_free))
+
+
+def test_minimize_two_unknowns_two_orders():
+    p = two_unknown_problem()
+    g = Grid(0.0, 1.0, 32)
+    report = minimize(p, g)
+    assert report.converged
+    assert report.iters <= 10
+    r = el_residual_general(p, report.y, g).values
+    w = g.quad_weights
+    # y1's pinned node carries no stationarity condition
+    assert np.sqrt(np.sum(w[1:] * r[0, 1:] ** 2) + np.sum(w * r[1] ** 2)) <= 1e-8
+
+
 # ---------------------------------------------------------------- isoperimetric
 
 def iso_problem(ell):
@@ -173,6 +257,15 @@ def test_iso_lambda_minus_two(grid256):
     assert abs(report.constraint_gap) <= 1e-3
     dv = build_left_rlfd(grid256, 0.5).apply(report.y.values)
     assert np.max(np.abs(dv[grid256.interior()] - 1.0)) <= 2e-2
+
+
+def test_iso_default_config(grid64):
+    # one KKT Newton step; no loosened tolerances needed
+    report = solve_isoperimetric(iso_problem(1.0), grid64)
+    assert report.converged
+    assert report.iters == 1
+    assert report.lam == pytest.approx(-2.0, abs=1e-2)
+    assert report.residual_norm <= SolveConfig().grad_tol
 
 
 def test_iso_zero_target(grid64):
