@@ -26,6 +26,7 @@ from .expressions import (
     evaluate,
     free_vars,
     parse,
+    _evaluate_array,
 )
 from .grids import Grid, SampledFn
 
@@ -97,10 +98,7 @@ def gradient_inequality_gap(L, x, u, v, du, dv) -> float:
 def _sample_grid(expr: Expr, env: dict, shape, inconclusive: list, points) -> np.ndarray:
     """Evaluate on a full grid; nan out domain failures and log the points."""
     try:
-        out = evaluate(expr, env)
-        if np.ndim(out) == 0:
-            return np.full(shape, float(out))
-        return np.asarray(out, dtype=float)
+        return _evaluate_array(expr, env, shape)
     except (ExprDomainError, ExprEvalError):
         pass
     flat_env = {k: np.ravel(np.broadcast_to(val, shape)) for k, val in env.items()}
@@ -368,9 +366,7 @@ def verify_field_minimizer(
     w = grid.quad_weights
     sl = grid.interior()
 
-    phi_vals = np.asarray(evaluate(field.phi, {"x": x, "y": u}), dtype=float)
-    if phi_vals.ndim == 0:
-        phi_vals = np.full_like(x, float(phi_vals))
+    phi_vals = _evaluate_array(field.phi, {"x": x, "y": u}, x.shape)
     e = (v - phi_vals)[sl]
     residual_norm = float(np.sqrt(np.sum(w[sl] * e * e)))
     field_tol = 10.0 * grid.h ** min(a_val, 1.0 - a_val)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .certify import ExactField, check_convexity, check_field, verify_field_minimizer
-from .expressions import ExprDomainError, ExprError, evaluate, parse
+from .expressions import ExprDomainError, ExprError, _evaluate_array, parse
 from .grids import Grid, weighted_norm
 from .operators import (
     build_left_rlfd,
@@ -394,12 +395,8 @@ def _build_cfg(cfg: dict) -> SolveConfig:
 def _candidate_samples(cfg: dict, problem: VarProblem, grid: Grid) -> np.ndarray:
     if "candidate" not in cfg:
         return _solver_start(problem, grid, None)
-    rows = []
-    for expr_text in cfg["candidate"]:
-        vals = evaluate(parse(expr_text), {"x": grid.nodes})
-        if np.ndim(vals) == 0:
-            vals = np.full(grid.n_nodes, float(vals))
-        rows.append(np.asarray(vals, dtype=float))
+    env = {"x": grid.nodes}
+    rows = [_evaluate_array(parse(text), env, grid.n_nodes) for text in cfg["candidate"]]
     return np.array(rows)
 
 
@@ -454,10 +451,9 @@ def _run_eval_op(cfg: dict, out_dir: Path):
         "right-rlfd": build_right_rlfd,
     }[kind]
     op = build(grid, order)
-    f_vals = evaluate(parse(cfg["candidate"][0]), {"x": grid.nodes})
-    if np.ndim(f_vals) == 0:
-        f_vals = np.full(grid.n_nodes, float(f_vals))
-    result = op.apply(np.asarray(f_vals, dtype=float))
+    f_expr = parse(cfg["candidate"][0])
+    f_vals = _evaluate_array(f_expr, {"x": grid.nodes}, grid.n_nodes)
+    result = op.apply(f_vals)
     _write_csv(
         out_dir / "nodes.csv",
         ["x", "f", "result"],
@@ -602,9 +598,9 @@ def _run_check_field(cfg: dict, out_dir: Path):
     )
     dp = assemble(problem, grid)
     u, v = dp.channels(Y)
-    phi_vals = evaluate(parse(cfg["field"]["phi"]), {"x": grid.nodes, "y": u[0]})
-    if np.ndim(phi_vals) == 0:
-        phi_vals = np.full(grid.n_nodes, float(phi_vals))
+    phi_vals = _evaluate_array(
+        parse(cfg["field"]["phi"]), {"x": grid.nodes, "y": u[0]}, grid.n_nodes
+    )
     _write_csv(
         out_dir / "nodes.csv",
         ["x", "y", "I_y", "D_y", "phi", "eq_residual"],
@@ -615,23 +611,16 @@ def _run_check_field(cfg: dict, out_dir: Path):
 
 def _run_limit_sweep(cfg: dict, out_dir: Path):
     grid = _build_grid(cfg)
-    classical = evaluate(parse(cfg["sweep"]["classical"]), {"x": grid.nodes})
-    if np.ndim(classical) == 0:
-        classical = np.full(grid.n_nodes, float(classical))
-    pins = None
-    if "pins" in cfg:
-        pins = tuple((p["left"], p["right"]) for p in cfg["pins"])
+    classical = _evaluate_array(
+        parse(cfg["sweep"]["classical"]), {"x": grid.nodes}, grid.n_nodes
+    )
+    base = _build_problem(cfg)
     rows = []
     any_ok = False
     for order in cfg["sweep"]["orders"]:
-        problem = VarProblem(
-            a=cfg["interval"]["a"],
-            b=cfg["interval"]["b"],
-            alphas=(order,),
-            betas=(order,),
-            lagrangian=cfg["lagrangian"],
-            n_unknowns=cfg["unknowns"],
-            pins=pins,
+        # the sweep solves without the constraint, as minimize requires
+        problem = dataclasses.replace(
+            base, alphas=(order,), betas=(order,), constraint=None
         )
         try:
             report = minimize(problem, grid, _build_cfg(cfg))

@@ -254,6 +254,14 @@ def evaluate(e: Expr, env: Mapping[str, float | np.ndarray] | None = None):
     return out
 
 
+def _evaluate_array(e: Expr, env: Mapping, shape) -> np.ndarray:
+    """evaluate() as a float array; a scalar result fills an array of shape."""
+    out = evaluate(e, env)
+    if np.ndim(out) == 0:
+        return np.full(shape, out)
+    return np.asarray(out, dtype=float)
+
+
 def _bad_index(mask) -> int | None:
     if np.ndim(mask) == 0:
         return None

@@ -7,15 +7,30 @@ Four operator kinds at a fixed order in (0, 1):
   linearly and the kernel moments are integrated exactly, which makes the
   scheme exact for piecewise-linear f and second-order for C^2 f.
 * left RLFD   Grunwald-Letnikov: (D^b f)(x_i) ~ h^-b sum_k w_k f(x_{i-k})
-  with w_0 = 1, w_k = w_{k-1} (1 - (b+1)/k).  First order where the RL
-  derivative is smooth; reproduces the RL (not Caputo) derivative,
-  including the (x-a)^-b blow-up when f(a) != 0.
+  with w_0 = 1, w_k = w_{k-1} (1 - (b+1)/k), the coefficients of
+  (1 - z)^b.  First order where the RL derivative is smooth; reproduces
+  the RL (not Caputo) derivative, including the (x-a)^-b blow-up when
+  f(a) != 0.
 * right operators, adjoint built: R = W^-1 L^T W with W = diag(trapezoid
   weights), so the discrete integration-by-parts identity
   <g, L f>_w = <f, R g>_w holds to machine precision by construction.
 * right operators, direct: mirror of the left scheme (reverse, apply,
   reverse).  Pointwise accurate everywhere but does not satisfy discrete
   integration by parts exactly; kept as a cross-check.
+
+Structure.  Both left schemes are lower-triangular Toeplitz on a uniform
+grid: L[i, j] = t[i - j] for j >= 1.  The RLFD's column 0 is the kernel t
+itself; the RLFI's column 0 is a separate endpoint-correction vector (and
+its row 0 is zero).  An operator therefore stores two vectors of N + 1
+numbers, never an N x N table, and applies itself by one direct
+np.convolve of the kernel with the samples plus O(N) endpoint work: O(N)
+memory, O(N^2) time per apply.  A direct convolution is exactly causal:
+output i of a left operator reads samples 0..i only, bit for bit.  The
+adjoint is the same convolution on reversed, weighted input, divided by
+the weights; the mirror reverses input and output.
+
+The dense table (FracOperator.coeffs) is gathered from the kernel on
+first access and then cached.  Only the dense Hessian and tests read it.
 
 Operators are immutable; applying one is a pure function.  Endpoint rows
 of derivative-kind operators are reported but unreliable, and the first
@@ -27,9 +42,11 @@ nodes (see Grid.interior).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import Grid, SampledFn
 from .special import gamma
@@ -70,33 +87,51 @@ class OperatorKind(enum.Enum):
         return self in (OperatorKind.LEFT_RLFI, OperatorKind.LEFT_RLFD)
 
 
-_ADJOINT_KIND = {
+_RIGHT_KIND = {
     OperatorKind.LEFT_RLFI: OperatorKind.RIGHT_RLFI,
     OperatorKind.LEFT_RLFD: OperatorKind.RIGHT_RLFD,
 }
 
+# how an operator acts, given its left operator L
+_FORMS = ("left", "adjoint", "mirror")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class FracOperator:
-    """A dense triangular coefficient table realizing one RL operator.
+    """One discrete RL operator, stored as the Toeplitz structure it has.
 
-    coeffs[i, j] is the weight of sample f(x_j) in the output at x_i;
-    left kinds are lower triangular, right kinds upper triangular.
+    Every operator derives from a left operator L of its order on its
+    grid, L[i, j] = _kernel[i - j] for 1 <= j <= i and L[:, 0] = _col0.
+    _form records the derivation: "left" is L itself, "adjoint" is
+    W^-1 L^T W (build_right_adjoint), "mirror" is L with node order
+    reversed on input and output (build_right_rlfi, build_right_rlfd).
+
+    Storage is O(N).  apply is one direct convolution plus O(N) endpoint
+    work, O(N^2) time, and exactly causal for left kinds.  The dense table
+    coeffs is built only when first read (by DiscreteProblem.hessian and
+    tests), then cached.  Construct operators through the build_*
+    functions.
     """
 
     kind: OperatorKind
     order: FracOrder
     grid: Grid
-    coeffs: np.ndarray
+    _kernel: np.ndarray = field(repr=False)
+    _col0: np.ndarray = field(repr=False)
+    _form: str = "left"
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=float)
         n = self.grid.n_cells + 1
-        if c.shape != (n, n):
-            raise ValueError(f"coefficient table must be {n}x{n}, got {c.shape}")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        for name in ("_kernel", "_col0"):
+            vec = np.array(getattr(self, name), dtype=float)
+            if vec.shape != (n,):
+                raise ValueError(f"{name} must have {n} entries, got shape {vec.shape}")
+            vec.setflags(write=False)
+            object.__setattr__(self, name, vec)
+        if self._form not in _FORMS:
+            raise ValueError(f"unknown operator form {self._form!r}")
+        if (self._form == "left") != self.kind.is_left:
+            raise ValueError(f"{self.kind} cannot take the {self._form!r} form")
 
     def apply(self, f: SampledFn | np.ndarray) -> SampledFn | np.ndarray:
         """Apply the operator to node samples.
@@ -107,13 +142,61 @@ class FracOperator:
         if isinstance(f, SampledFn):
             if f.grid != self.grid:
                 raise ValueError("sample grid does not match operator grid")
-            return SampledFn(self.grid, self.coeffs @ f.values)
+            return SampledFn(self.grid, self._act(f.values))
         vals = np.asarray(f, dtype=float)
         if vals.shape != (self.grid.n_cells + 1,):
             raise ValueError(
                 f"expected {self.grid.n_cells + 1} samples, got shape {vals.shape}"
             )
-        return self.coeffs @ vals
+        return self._act(vals)
+
+    def _act(self, f: np.ndarray) -> np.ndarray:
+        if self._form == "left":
+            return self._lower(f)
+        if self._form == "mirror":
+            return self._lower(f[::-1])[::-1]
+        w = self.grid.quad_weights
+        return self._lower_transposed(w * f) / w
+
+    def _lower(self, f: np.ndarray) -> np.ndarray:
+        # L f is f[0] * _col0 plus the Toeplitz part on columns 1..N: the
+        # first N outputs of the convolution, shifted down one row
+        n = self.grid.n_cells
+        out = self._col0 * f[0]
+        out[1:] += np.convolve(self._kernel[:n], f[1:])[:n]
+        return out
+
+    def _lower_transposed(self, q: np.ndarray) -> np.ndarray:
+        # L^T q: row 0 is _col0 . q; rows 1..N are the same convolution on
+        # reversed input, reversed back
+        n = self.grid.n_cells
+        out = np.empty(n + 1)
+        out[0] = self._col0 @ q
+        out[1:] = np.convolve(self._kernel[:n], q[:0:-1])[:n][::-1]
+        return out
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """Dense (N+1) x (N+1) table, read-only; O(N^2) memory.
+
+        coeffs[i, j] is the weight of sample f(x_j) in the output at x_i;
+        left kinds are lower triangular, right kinds upper triangular.
+        Gathered from the kernel on first access and cached; apply never
+        reads it.
+        """
+        n = self.grid.n_cells
+        # row i of L is the window of (reversed kernel, n zeros) that starts
+        # at offset n - i: kernel[i], ..., kernel[0], then zeros
+        padded = np.concatenate((self._kernel[::-1], np.zeros(n)))
+        table = sliding_window_view(padded, n + 1)[::-1].copy()
+        table[:, 0] = self._col0
+        if self._form == "adjoint":
+            w = self.grid.quad_weights
+            table = (table.T * w[None, :]) / w[:, None]
+        elif self._form == "mirror":
+            table = table[::-1, ::-1].copy()
+        table.setflags(write=False)
+        return table
 
 
 def build_left_rlfi(grid: Grid, order: FracOrder | float) -> FracOperator:
@@ -127,32 +210,25 @@ def build_left_rlfi(grid: Grid, order: FracOrder | float) -> FracOperator:
     p = a + 1.0
     kappa = grid.h**a / gamma(a + 2.0)
 
-    idx = np.arange(n + 1)
-    d = idx[:, None] - idx[None, :]
-    # interior band: second difference of m**(a+1) at lag m = i - j >= 1
-    m = np.maximum(d, 1).astype(float)
-    table = np.where(d >= 1, (m + 1.0) ** p - 2.0 * m**p + (m - 1.0) ** p, 0.0)
-    np.fill_diagonal(table, 1.0)
+    # interior band: second difference of m**(a+1) at lag m >= 1, 1 at lag 0
+    m = np.arange(1, n + 1, dtype=float)
+    band = np.concatenate(([1.0], (m + 1.0) ** p - 2.0 * m**p + (m - 1.0) ** p))
     # boundary column j = 0 absorbs the non-Toeplitz endpoint correction
-    i_f = idx.astype(float)
+    i_f = np.arange(n + 1, dtype=float)
     im1 = np.maximum(i_f - 1.0, 0.0)
     col0 = im1**p - i_f**a * (i_f - a - 1.0)
-    table[1:, 0] = col0[1:]
-    table[0, :] = 0.0
-    return FracOperator(OperatorKind.LEFT_RLFI, order, grid, kappa * table)
+    col0[0] = 0.0
+    return FracOperator(OperatorKind.LEFT_RLFI, order, grid, kappa * band, kappa * col0)
 
 
 def build_left_rlfd(grid: Grid, order: FracOrder | float) -> FracOperator:
     """Left Riemann-Liouville fractional derivative, Grunwald-Letnikov."""
     order = _as_order(order)
     b = order.value
-    n = grid.n_cells
-    k = np.arange(1, n + 1)
+    k = np.arange(1, grid.n_cells + 1)
     w = np.concatenate(([1.0], np.cumprod(1.0 - (b + 1.0) / k)))
-    idx = np.arange(n + 1)
-    d = idx[:, None] - idx[None, :]
-    table = np.where(d >= 0, w[np.clip(d, 0, n)], 0.0)
-    return FracOperator(OperatorKind.LEFT_RLFD, order, grid, grid.h ** (-b) * table)
+    kernel = grid.h ** (-b) * w
+    return FracOperator(OperatorKind.LEFT_RLFD, order, grid, kernel, kernel)
 
 
 def build_right_adjoint(op: FracOperator) -> FracOperator:
@@ -160,29 +236,28 @@ def build_right_adjoint(op: FracOperator) -> FracOperator:
 
     R = W^-1 L^T W, the unique table satisfying the discrete
     integration-by-parts identity sum_i w_i g_i (Lf)_i = sum_i w_i f_i (Rg)_i
-    exactly for all f, g.
+    exactly for all f, g.  Built from the left operator's two vectors; O(N).
     """
     if not op.kind.is_left:
         raise ValueError(f"adjoint construction expects a left operator, got {op.kind}")
-    w = op.grid.quad_weights
-    coeffs = (op.coeffs.T * w[None, :]) / w[:, None]
-    return FracOperator(_ADJOINT_KIND[op.kind], op.order, op.grid, coeffs)
+    return FracOperator(
+        _RIGHT_KIND[op.kind], op.order, op.grid, op._kernel, op._col0, "adjoint"
+    )
 
 
 def build_right_rlfi(grid: Grid, order: FracOrder | float) -> FracOperator:
     """Right RLFI by direct mirroring of the left scheme (cross-check only)."""
-    left = build_left_rlfi(grid, order)
-    return FracOperator(
-        OperatorKind.RIGHT_RLFI, left.order, grid, left.coeffs[::-1, ::-1]
-    )
+    return _mirror(build_left_rlfi(grid, order))
 
 
 def build_right_rlfd(grid: Grid, order: FracOrder | float) -> FracOperator:
     """Right RLFD by direct mirroring of the left scheme (cross-check only)."""
-    left = build_left_rlfd(grid, order)
-    return FracOperator(
-        OperatorKind.RIGHT_RLFD, left.order, grid, left.coeffs[::-1, ::-1]
-    )
+    return _mirror(build_left_rlfd(grid, order))
+
+
+def _mirror(left: FracOperator) -> FracOperator:
+    kind = _RIGHT_KIND[left.kind]
+    return FracOperator(kind, left.order, left.grid, left._kernel, left._col0, "mirror")
 
 
 def _as_order(order: FracOrder | float) -> FracOrder:

@@ -25,15 +25,15 @@ the adjoint weights and leaves interior residual values untouched.
 
 The discrete gradient of the functional with respect to node values equals
 omega_i * r_i exactly, where r is the Euler-Lagrange residual computed with
-the adjoint-built right operators W^-1 A^T W, applied on the fly.
+the adjoint-built right operators W^-1 A^T W.
 
 The channel maps are linear and L acts pointwise, so the Hessian of the
 discrete functional is exact as well:
 
     H = sum_ab A_a^T W diag(d2L/da db) A_b
 
-over the channel tables A_a, with the node-0 continuation folded into the
-weights (DiscreteProblem.hessian).
+over the channel maps A_a, with the node-0 continuation folded into the
+weights (DiscreteProblem.hessian, which reads the operators' dense views).
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ from .expressions import (
     Expr,
     Num,
     differentiate,
-    evaluate,
     free_vars,
     parse,
     simplify,
+    _evaluate_array,
 )
 from .grids import Grid, SampledFn, weighted_norm
 from .operators import (
@@ -61,6 +61,7 @@ from .operators import (
     FracOrder,
     build_left_rlfd,
     build_left_rlfi,
+    build_right_adjoint,
 )
 
 __all__ = [
@@ -118,6 +119,10 @@ class VarProblem:
         if not self.b > self.a:
             raise ValueError(f"interval requires b > a, got ({self.a}, {self.b})")
         object.__setattr__(self, "alphas", _as_orders(self.alphas, "integral"))
+        for alpha in self.alphas:
+            # the integral channel runs at order 1 - alpha
+            if not 1.0 - alpha.value < 1.0:
+                raise ValueError(f"integral order {alpha.value!r}: 1 - alpha rounds to 1")
         object.__setattr__(self, "betas", _as_orders(self.betas, "derivative"))
         if int(self.n_unknowns) < 1:
             raise ValueError(f"n_unknowns must be >= 1, got {self.n_unknowns}")
@@ -219,8 +224,8 @@ class DiscreteProblem:
 
     Exposes the channel maps (linear), the functional, the residual, the
     exact gradient and the exact Hessian; the solver drives everything
-    through this object.  operators = (I_ops, D_ops) reuses the tables of
-    another DiscreteProblem on the same grid and orders.
+    through this object.  operators = (I_ops, D_ops) reuses the left
+    operators of another DiscreteProblem on the same grid and orders.
     """
 
     def __init__(self, problem: VarProblem, grid: Grid, operators=None):
@@ -239,6 +244,8 @@ class DiscreteProblem:
                 tuple(build_left_rlfd(grid, b.value) for b in problem.betas),
             )
         self.I_ops, self.D_ops = operators
+        self._RI_ops = tuple(build_right_adjoint(op) for op in self.I_ops)
+        self._RD_ops = tuple(build_right_adjoint(op) for op in self.D_ops)
         self.u_names = problem.u_names()
         self.v_names = problem.v_names()
         # channel c = (i-1)*K + (k-1): order index and unknown index
@@ -253,7 +260,7 @@ class DiscreteProblem:
         self.dL_dv = tuple(differentiate(L, name) for name in self._v_eval_names())
 
     def with_lagrangian(self, lagrangian: Expr) -> "DiscreteProblem":
-        """The same problem and operator tables with another Lagrangian."""
+        """The same problem and operators with another Lagrangian."""
         other = dataclasses.replace(self.problem, lagrangian=lagrangian, constraint=None)
         return DiscreteProblem(other, self.grid, (self.I_ops, self.D_ops))
 
@@ -272,10 +279,10 @@ class DiscreteProblem:
 
     def channels(self, Y: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Integral and (endpoint-continued) derivative channels of Y."""
-        u = [self.I_ops[i].coeffs @ Y[k] for (i, k) in self.u_channels]
+        u = [self.I_ops[i].apply(Y[k]) for (i, k) in self.u_channels]
         v = []
         for (j, k) in self.v_channels:
-            vals = self.D_ops[j].coeffs @ Y[k]
+            vals = self.D_ops[j].apply(Y[k])
             vals[0] = vals[1]
             v.append(vals)
         return u, v
@@ -292,16 +299,10 @@ class DiscreteProblem:
             e["v"] = v[0]
         return e
 
-    def _nodes_array(self, expr: Expr, env: dict) -> np.ndarray:
-        out = evaluate(expr, env)
-        if np.ndim(out) == 0:
-            return np.full(self.grid.n_cells + 1, float(out))
-        return np.asarray(out, dtype=float)
-
     # -- functional, residual, gradient ------------------------------------
 
     def functional_value(self, expr: Expr, u, v) -> float:
-        vals = self._nodes_array(expr, self.env(u, v))
+        vals = _evaluate_array(expr, self.env(u, v), self.grid.n_nodes)
         return float(self.grid.quad_weights @ vals)
 
     def functional(self, Y: np.ndarray) -> float:
@@ -313,27 +314,26 @@ class DiscreteProblem:
         return self._residual_from(u, v)
 
     def _residual_from(self, u, v) -> np.ndarray:
-        # each right adjoint W^-1 A^T W is applied as A^T (w * q), with one
-        # division by w at the end
         env = self.env(u, v)
+        n = self.grid.n_nodes
         w = self.grid.quad_weights
-        g = np.zeros((self.problem.n_unknowns, self.grid.n_cells + 1))
+        g = np.zeros((self.problem.n_unknowns, n))
         for c, (i, k) in enumerate(self.u_channels):
             p_expr = self.dL_du[c]
             if p_expr == Num(0.0):
                 continue
-            g[k] += self.I_ops[i].coeffs.T @ (w * self._nodes_array(p_expr, env))
+            g[k] += self._RI_ops[i].apply(_evaluate_array(p_expr, env, n))
         for c, (j, k) in enumerate(self.v_channels):
             q_expr = self.dL_dv[c]
             if q_expr == Num(0.0):
                 continue
-            wq = w * self._nodes_array(q_expr, env)
-            # adjoint of the node-0 continuation: fold node 0's weight onto
-            # node 1 and drop node 0
-            wq[1] += wq[0]
-            wq[0] = 0.0
-            g[k] += self.D_ops[j].coeffs.T @ wq
-        return g / w
+            # adjoint of the node-0 continuation under the quadrature inner
+            # product: node 0's weighted value moves onto node 1
+            q = _evaluate_array(q_expr, env, n).copy()
+            q[1] += q[0] * w[0] / w[1]
+            q[0] = 0.0
+            g[k] += self._RD_ops[j].apply(q)
+        return g
 
     def gradient(self, Y: np.ndarray) -> np.ndarray:
         """d(functional)/d(node values); exactly quad_weights * residual."""
@@ -362,14 +362,16 @@ class DiscreteProblem:
         L + lam*g is the sum of the two dictionaries.
         """
         env = self.env(u, v)
-        return {(a, b): self._nodes_array(e, env) for a, b, e in self._second_partials}
+        n = self.grid.n_nodes
+        return {(a, b): _evaluate_array(e, env, n) for a, b, e in self._second_partials}
 
     def hessian(self, curvature: dict, free: Sequence[slice]) -> np.ndarray:
         """Exact Hessian of the functional on the free node values.
 
         free holds one contiguous slice of node indices per unknown; rows and
-        columns follow the unknowns in order.  The tables enter as views of
-        their free columns.  The node-0 continuation of the v channels is
+        columns follow the unknowns in order.  The left operators' dense
+        tables (FracOperator.coeffs, built on this first use and cached)
+        enter as views of their free columns.  The node-0 continuation of the v channels is
         folded into the weights: row 0 of a continued v channel repeats row
         1, and row 0 of an integral table is zero.
         """

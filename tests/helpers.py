@@ -78,3 +78,45 @@ def random_smooth_samples(rng, grid, amplitude: float = 1.0) -> np.ndarray:
         out += float(rng.uniform(-1.0, 1.0)) * np.sin(k * np.pi * x)
     out += float(rng.uniform(-1.0, 1.0)) * x
     return amplitude * out
+
+
+# ------------------------------------------------- dense operator reference
+# The dense-table formulas that fracvar's operators were first written with;
+# FracOperator.coeffs must reproduce them bit for bit.
+
+def dense_left_rlfi(grid, a: float) -> np.ndarray:
+    from fracvar import gamma
+
+    n = grid.n_cells
+    p = a + 1.0
+    kappa = grid.h**a / gamma(a + 2.0)
+    idx = np.arange(n + 1)
+    d = idx[:, None] - idx[None, :]
+    m = np.maximum(d, 1).astype(float)
+    table = np.where(d >= 1, (m + 1.0) ** p - 2.0 * m**p + (m - 1.0) ** p, 0.0)
+    np.fill_diagonal(table, 1.0)
+    i_f = idx.astype(float)
+    im1 = np.maximum(i_f - 1.0, 0.0)
+    col0 = im1**p - i_f**a * (i_f - a - 1.0)
+    table[1:, 0] = col0[1:]
+    table[0, :] = 0.0
+    return kappa * table
+
+
+def dense_left_rlfd(grid, b: float) -> np.ndarray:
+    n = grid.n_cells
+    k = np.arange(1, n + 1)
+    w = np.concatenate(([1.0], np.cumprod(1.0 - (b + 1.0) / k)))
+    idx = np.arange(n + 1)
+    d = idx[:, None] - idx[None, :]
+    table = np.where(d >= 0, w[np.clip(d, 0, n)], 0.0)
+    return grid.h ** (-b) * table
+
+
+def dense_adjoint(grid, left: np.ndarray) -> np.ndarray:
+    w = grid.quad_weights
+    return (left.T * w[None, :]) / w[:, None]
+
+
+def dense_mirror(left: np.ndarray) -> np.ndarray:
+    return left[::-1, ::-1].copy()

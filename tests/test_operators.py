@@ -1,20 +1,28 @@
 """Discrete fractional operators: oracles, convergence, adjoints, structure."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import fracvar.problems
 from fracvar import (
+    FracOperator,
     FracOrder,
     Grid,
     OperatorKind,
+    VarProblem,
     build_left_rlfd,
     build_left_rlfi,
     build_right_adjoint,
     build_right_rlfd,
     build_right_rlfi,
+    el_residual,
+    evaluate_functional,
     gamma,
+    gradient,
 )
+from helpers import dense_adjoint, dense_left_rlfd, dense_left_rlfi, dense_mirror
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -268,3 +276,100 @@ def test_apply_rejects_bad_shape(grid256):
     op = build_left_rlfi(grid256, 0.5)
     with pytest.raises(ValueError):
         op.apply(np.zeros(grid256.n_nodes - 1))
+
+
+# ---------------------------------------------------------------- storage
+
+STRUCTURE_SIZES = (1, 2, 7, 64, 300)
+STRUCTURE_ORDERS = (0.1, 0.3, 0.5, 0.7, 0.95)
+
+
+def six_operators(g, order):
+    """All six builders at one order, each with its dense reference table."""
+    left_i, left_d = dense_left_rlfi(g, order), dense_left_rlfd(g, order)
+    I, D = build_left_rlfi(g, order), build_left_rlfd(g, order)
+    return [
+        (I, left_i),
+        (D, left_d),
+        (build_right_adjoint(I), dense_adjoint(g, left_i)),
+        (build_right_adjoint(D), dense_adjoint(g, left_d)),
+        (build_right_rlfi(g, order), dense_mirror(left_i)),
+        (build_right_rlfd(g, order), dense_mirror(left_d)),
+    ]
+
+
+@pytest.mark.parametrize("n", STRUCTURE_SIZES)
+def test_dense_view_equals_reference_tables(n):
+    g = Grid(0.0, 1.0, n)
+    for order in STRUCTURE_ORDERS:
+        for op, ref in six_operators(g, order):
+            assert "coeffs" not in op.__dict__
+            assert op.coeffs.shape == (n + 1, n + 1)
+            assert np.array_equal(op.coeffs, ref), (op.kind, order)
+            assert not op.coeffs.flags.writeable
+
+
+@pytest.mark.parametrize("n", STRUCTURE_SIZES)
+def test_apply_matches_dense_view(n):
+    g = Grid(0.0, 1.0, n)
+    rng = np.random.default_rng(n)
+    for order in STRUCTURE_ORDERS:
+        for op, _ in six_operators(g, order):
+            for f in (rng.standard_normal(n + 1), np.sqrt(g.nodes), np.ones(n + 1)):
+                got = op.apply(f)
+                want = op.coeffs @ f
+                scale = float(np.max(np.abs(want)))
+                assert np.max(np.abs(got - want)) <= 1e-13 * scale, (op.kind, order)
+
+
+def test_builders_allocate_no_table():
+    # a dense table at N = 2048 takes 32 MiB; no builder comes near that
+    g = Grid(0.0, 1.0, 2048)
+    tracemalloc.start()
+    try:
+        left = build_left_rlfi(g, 0.4)
+        ops = [left, build_left_rlfd(g, 0.4), build_right_adjoint(left),
+               build_right_rlfi(g, 0.4), build_right_rlfd(g, 0.4)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert all("coeffs" not in op.__dict__ for op in ops)
+
+
+def test_operator_rejects_inconsistent_structure():
+    g = Grid(0.0, 1.0, 8)
+    ok = np.ones(g.n_nodes)
+    with pytest.raises(ValueError):
+        FracOperator(OperatorKind.LEFT_RLFD, FracOrder(0.5), g, ok[:-1], ok)
+    with pytest.raises(ValueError):
+        FracOperator(OperatorKind.RIGHT_RLFD, FracOrder(0.5), g, ok, ok, "left")
+    with pytest.raises(ValueError):
+        FracOperator(OperatorKind.LEFT_RLFD, FracOrder(0.5), g, ok, ok, "adjoint")
+    with pytest.raises(ValueError):
+        FracOperator(OperatorKind.RIGHT_RLFD, FracOrder(0.5), g, ok, ok, "transpose")
+
+
+def test_residual_and_gradient_build_no_dense_table(monkeypatch):
+    # functional, residual and gradient evaluations go through apply only;
+    # a 2049 x 2049 table appearing here would be a regression
+    made = []
+
+    def recording(build):
+        def wrapped(*args):
+            op = build(*args)
+            made.append(op)
+            return op
+        return wrapped
+
+    for name in ("build_left_rlfi", "build_left_rlfd", "build_right_adjoint"):
+        build = getattr(fracvar.problems, name)
+        monkeypatch.setattr(fracvar.problems, name, recording(build))
+    g = Grid(0.0, 1.0, 2048)
+    p = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian="(v - 1)^2 + u*v + u^2")
+    y = np.sqrt(g.nodes)
+    assert np.isfinite(el_residual(p, y, g).norm)
+    assert np.isfinite(evaluate_functional(p, y, g))
+    assert np.all(np.isfinite(gradient(p, y, g)))
+    assert len(made) == 3 * 4
+    assert all("coeffs" not in op.__dict__ for op in made)

@@ -35,6 +35,14 @@ def test_rejects_out_of_range_orders():
         VarProblem(0.0, 1.0, alphas=1.5, betas=0.5, lagrangian="v^2")
 
 
+def test_rejects_alpha_whose_complement_rounds_to_one():
+    # the integral channel order 1 - alpha must itself lie in (0, 1)
+    for tiny in (1e-17, 5e-324):
+        with pytest.raises(ValueError, match="rounds to 1"):
+            VarProblem(0.0, 1.0, alphas=tiny, betas=0.5, lagrangian="u^2")
+    VarProblem(0.0, 1.0, alphas=1e-15, betas=0.5, lagrangian="u^2")
+
+
 def test_multi_channel_names():
     p = VarProblem(0.0, 1.0, alphas=(0.5, 0.75), betas=0.5, lagrangian="u1 + u2")
     assert p.u_names() == ("u1", "u2")

@@ -1,0 +1,72 @@
+"""Property tests for the exact discrete identities.
+
+Sizes run from 1 to 300 cells, orders over the open interval (0, 1), and
+samples over random node vectors.  Examples are derandomized, so every run
+checks the same cases.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from fracvar import (
+    Grid,
+    VarProblem,
+    build_left_rlfd,
+    build_left_rlfi,
+    build_right_adjoint,
+    el_residual,
+    evaluate_functional,
+    gradient,
+)
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+cells = st.integers(min_value=1, max_value=300)
+orders = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+# VarProblem rejects an alpha whose complement 1 - alpha rounds to 1
+alphas = orders.filter(lambda a: 1.0 - a < 1.0)
+coefficients = st.floats(min_value=-2.0, max_value=2.0).map(lambda c: round(c, 3))
+
+
+def node_values(n_nodes: int):
+    return arrays(float, n_nodes, elements=st.floats(min_value=-10.0, max_value=10.0))
+
+
+@st.composite
+def grid_and_samples(draw):
+    g = Grid(0.0, 1.0, draw(cells))
+    return g, draw(node_values(g.n_nodes)), draw(node_values(g.n_nodes))
+
+
+@PROPERTY
+@given(grid_and_samples(), orders, st.sampled_from((build_left_rlfi, build_left_rlfd)))
+def test_integration_by_parts(case, order, build):
+    # <g, L f>_w == <f, R g>_w with R the quadrature adjoint of L
+    g, f, h = case
+    op = build(g, order)
+    adj = build_right_adjoint(op)
+    w = g.quad_weights
+    lhs = float(w @ (op.apply(f) * h))
+    rhs = float(w @ (f * adj.apply(h)))
+    scale = float(w @ ((np.abs(op.coeffs) @ np.abs(f)) * np.abs(h)))
+    assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@PROPERTY
+@given(grid_and_samples(), alphas, orders, st.lists(coefficients, min_size=6, max_size=6))
+def test_gradient_identity_quadratic(case, alpha, beta, c):
+    # for L quadratic in (u, v) the functional is quadratic in the node
+    # values, so a central difference of any step recovers <gradient, d>
+    g, y, d = case
+    lagrangian = (
+        f"({c[0]}) + ({c[1]})*u + ({c[2]})*v"
+        f" + ({c[3]})*u^2 + ({c[4]})*u*v + ({c[5]})*v^2"
+    )
+    p = VarProblem(0.0, 1.0, alphas=alpha, betas=beta, lagrangian=lagrangian)
+    grad = gradient(p, y, g)
+    assert np.array_equal(grad, g.quad_weights * el_residual(p, y, g).values[0])
+    j_plus = evaluate_functional(p, y + d, g)
+    j_minus = evaluate_functional(p, y - d, g)
+    scale = 1.0 + abs(j_plus) + abs(j_minus) + float(np.abs(grad) @ np.abs(d))
+    assert abs((j_plus - j_minus) / 2.0 - float(grad @ d)) <= 1e-11 * scale
