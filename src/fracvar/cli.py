@@ -32,11 +32,10 @@ from .operators import (
 )
 from .problems import (
     Constraint,
+    DiscreteProblem,
     VarProblem,
     assemble,
     augmented_lagrangian,
-    el_residual_general,
-    _normalize_samples,
 )
 from .solve import SolveConfig, minimize, solve_isoperimetric
 from .solve import _start as _solver_start
@@ -362,23 +361,32 @@ def resolve(doc: dict, n_cells_override: int | None = None) -> dict:
 # shared builders
 
 
-def _build_problem(cfg: dict) -> VarProblem:
-    con = None
-    if "constraint" in cfg:
-        con = Constraint(g=cfg["constraint"]["g"], ell=cfg["constraint"]["ell"])
+def _build_problem(cfg: dict, **overrides) -> VarProblem:
+    """The problem cfg describes, with the fields in overrides replaced.
+
+    A problem that VarProblem rejects (an integral order whose complement
+    rounds to 1, an undeclared variable) raises ProblemFileError.
+    """
     pins = None
     if "pins" in cfg:
         pins = tuple((p["left"], p["right"]) for p in cfg["pins"])
-    return VarProblem(
-        a=cfg["interval"]["a"],
-        b=cfg["interval"]["b"],
-        alphas=tuple(cfg["orders"]["alpha"]),
-        betas=tuple(cfg["orders"]["beta"]),
-        lagrangian=cfg["lagrangian"],
-        n_unknowns=cfg["unknowns"],
-        constraint=con,
-        pins=pins,
-    )
+    try:
+        con = None
+        if "constraint" in cfg:
+            con = Constraint(g=cfg["constraint"]["g"], ell=cfg["constraint"]["ell"])
+        problem = VarProblem(
+            a=cfg["interval"]["a"],
+            b=cfg["interval"]["b"],
+            alphas=tuple(cfg["orders"]["alpha"]),
+            betas=tuple(cfg["orders"]["beta"]),
+            lagrangian=cfg["lagrangian"],
+            n_unknowns=cfg["unknowns"],
+            constraint=con,
+            pins=pins,
+        )
+        return dataclasses.replace(problem, **overrides)
+    except ValueError as exc:
+        raise ProblemFileError(f"problem: {exc}") from exc
 
 
 def _build_grid(cfg: dict) -> Grid:
@@ -419,17 +427,12 @@ def _channel_columns(problem: VarProblem):
 
 
 def _nodes_table(
-    out_dir: Path,
-    problem: VarProblem,
-    grid: Grid,
-    Y: np.ndarray,
-    residual: np.ndarray | None,
+    out_dir: Path, dp: DiscreteProblem, Y: np.ndarray, residual: np.ndarray | None
 ) -> None:
-    dp = assemble(problem, grid)
     u, v = dp.channels(Y)
-    ys, us, vs, rs = _channel_columns(problem)
+    ys, us, vs, rs = _channel_columns(dp.problem)
     header = ["x"] + ys + us + vs
-    columns = [grid.nodes] + list(Y) + u + v
+    columns = [dp.grid.nodes] + list(Y) + u + v
     if residual is not None:
         header += rs
         columns += list(np.atleast_2d(residual))
@@ -472,7 +475,7 @@ def _run_functional(cfg: dict, out_dir: Path):
     Y = _candidate_samples(cfg, problem, grid)
     dp = assemble(problem, grid)
     J = dp.functional(Y)
-    _nodes_table(out_dir, problem, grid, Y, residual=None)
+    _nodes_table(out_dir, dp, Y, residual=None)
     return {"J": J}, 0
 
 
@@ -480,10 +483,10 @@ def _run_el_residual(cfg: dict, out_dir: Path):
     problem = _build_problem(cfg)
     grid = _build_grid(cfg)
     Y = _candidate_samples(cfg, problem, grid)
-    res = el_residual_general(problem, Y, grid)
     dp = assemble(problem, grid)
+    res = dp.residual(Y)
     J = dp.functional(Y)
-    _nodes_table(out_dir, problem, grid, Y, residual=res.values)
+    _nodes_table(out_dir, dp, Y, residual=res.values)
     return {
         "J": J,
         "residual_norm": res.norm,
@@ -514,8 +517,8 @@ def _run_solve(cfg: dict, out_dir: Path):
     y0 = _candidate_samples(cfg, problem, grid) if "candidate" in cfg else None
     report = minimize(problem, grid, _build_cfg(cfg), y0=y0)
     Y, summary = _solve_summary(problem, grid, report)
-    res = el_residual_general(problem, Y, grid)
-    _nodes_table(out_dir, problem, grid, Y, residual=res.values)
+    dp = assemble(problem, grid)
+    _nodes_table(out_dir, dp, Y, residual=dp.residual(Y).values)
     _write_csv(
         out_dir / "history.csv",
         ["iter", "J", "grad_norm"],
@@ -532,11 +535,10 @@ def _run_solve_iso(cfg: dict, out_dir: Path):
     Y, summary = _solve_summary(problem, grid, report)
     # stationarity of the multiplier-augmented problem is the meaningful residual
     if report.lam is not None:
-        aug = augmented_lagrangian(problem, report.lam)
-        res = el_residual_general(aug, Y, grid)
-        _nodes_table(out_dir, aug, grid, Y, residual=res.values)
+        dp = assemble(augmented_lagrangian(problem, report.lam), grid)
+        _nodes_table(out_dir, dp, Y, residual=dp.residual(Y).values)
     else:
-        _nodes_table(out_dir, problem, grid, Y, residual=None)
+        _nodes_table(out_dir, assemble(problem, grid), Y, residual=None)
     _write_csv(
         out_dir / "history.csv",
         ["iter", "J", "grad_norm"],
@@ -614,14 +616,11 @@ def _run_limit_sweep(cfg: dict, out_dir: Path):
     classical = _evaluate_array(
         parse(cfg["sweep"]["classical"]), {"x": grid.nodes}, grid.n_nodes
     )
-    base = _build_problem(cfg)
     rows = []
     any_ok = False
     for order in cfg["sweep"]["orders"]:
         # the sweep solves without the constraint, as minimize requires
-        problem = dataclasses.replace(
-            base, alphas=(order,), betas=(order,), constraint=None
-        )
+        problem = _build_problem(cfg, alphas=(order,), betas=(order,), constraint=None)
         try:
             report = minimize(problem, grid, _build_cfg(cfg))
         except ArithmeticError as exc:
@@ -729,6 +728,9 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         result, code = _RUNNERS[cfg["task"]](cfg, out_dir)
+    except ProblemFileError as exc:
+        print(f"fracvar: invalid problem file: {exc}", file=sys.stderr)
+        return 2
     except (ArithmeticError, ExprDomainError) as exc:
         print(f"fracvar: numerical failure: {exc}", file=sys.stderr)
         _write_summary(

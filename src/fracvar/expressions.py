@@ -473,10 +473,9 @@ def _prec(e: Expr) -> int:
 
 
 def _fits_unary_slot(e: Expr) -> bool:
-    # what the grammar's `unary` production can produce without parentheses
-    if isinstance(e, (Var, Call, Neg)):
-        return True
-    return isinstance(e, Num) and e.value >= 0
+    # what the grammar's `unary` production can produce without parentheses;
+    # a negative literal prints as "-c", which that slot reads as Neg(Num(c))
+    return isinstance(e, (Num, Var, Call, Neg))
 
 
 def _fmt_num(v: float) -> str:
@@ -486,7 +485,14 @@ def _fmt_num(v: float) -> str:
 
 
 def to_string(e: Expr) -> str:
-    """Render an AST so that parse(to_string(e)) reproduces its structure."""
+    """Render an AST so that parse(to_string(e)) reproduces its structure.
+
+    That holds for trees the parser can produce, whose literals are
+    nonnegative.  A negative literal, which simplify makes by folding a
+    negation, prints as "-c" and reparses as Neg(Num(c)): "x - -2" comes
+    back as x - Neg(2).  The printed form still round-trips, for the
+    output of simplify too: to_string(parse(to_string(e))) == to_string(e).
+    """
     if isinstance(e, Num):
         return _fmt_num(e.value)
     if isinstance(e, Var):

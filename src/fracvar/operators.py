@@ -22,12 +22,23 @@ Structure.  Both left schemes are lower-triangular Toeplitz on a uniform
 grid: L[i, j] = t[i - j] for j >= 1.  The RLFD's column 0 is the kernel t
 itself; the RLFI's column 0 is a separate endpoint-correction vector (and
 its row 0 is zero).  An operator therefore stores two vectors of N + 1
-numbers, never an N x N table, and applies itself by one direct
-np.convolve of the kernel with the samples plus O(N) endpoint work: O(N)
-memory, O(N^2) time per apply.  A direct convolution is exactly causal:
-output i of a left operator reads samples 0..i only, bit for bit.  The
-adjoint is the same convolution on reversed, weighted input, divided by
+numbers, never an N x N table, and applies itself by one lower-triangular
+Toeplitz matvec of the kernel with the samples plus O(N) endpoint work.
+The adjoint is the same matvec on reversed, weighted input, divided by
 the weights; the mirror reverses input and output.
+
+Apply cost.  Up to _LEAF cells the matvec is one direct np.convolve,
+O(N^2).  Beyond that it follows the triangular-Toeplitz block scheme of
+Hairer, Lubich and Schlichte (1985): the diagonal triangles of _LEAF rows
+are direct convolutions, and the below-diagonal squares of a dyadic
+splitting (side s = _LEAF, 2 _LEAF, ...) go through one batched FFT of
+size 2s per level, O(N log^2 N) time and O(N) memory in all.  Causality
+stays exact: each square is transformed on its own (a batched FFT shares
+no arithmetic between rows) and its rows lie strictly after its columns,
+and a direct convolution reads only the samples at or before each
+output.  So output i of a left operator depends on samples 0..i only,
+bit for bit, at every N.  Its round-off is about 1e-15 of the largest
+row sum of |L_ij f_j|, as for the direct convolution.
 
 The dense table (FracOperator.coeffs) is gathered from the kernel on
 first access and then cached.  Only the dense Hessian and tests read it.
@@ -106,11 +117,12 @@ class FracOperator:
     W^-1 L^T W (build_right_adjoint), "mirror" is L with node order
     reversed on input and output (build_right_rlfi, build_right_rlfd).
 
-    Storage is O(N).  apply is one direct convolution plus O(N) endpoint
-    work, O(N^2) time, and exactly causal for left kinds.  The dense table
-    coeffs is built only when first read (by DiscreteProblem.hessian and
-    tests), then cached.  Construct operators through the build_*
-    functions.
+    Storage is O(N).  apply is one lower-triangular Toeplitz matvec
+    (_lower_toeplitz) plus O(N) endpoint work: a direct convolution up to
+    _LEAF cells, the block-FFT scheme beyond, O(N log^2 N) time; exactly
+    causal for left kinds at every N.  The dense table coeffs is built
+    only when first read (by DiscreteProblem.hessian and tests), then
+    cached.  Construct operators through the build_* functions.
     """
 
     kind: OperatorKind
@@ -159,20 +171,18 @@ class FracOperator:
         return self._lower_transposed(w * f) / w
 
     def _lower(self, f: np.ndarray) -> np.ndarray:
-        # L f is f[0] * _col0 plus the Toeplitz part on columns 1..N: the
-        # first N outputs of the convolution, shifted down one row
-        n = self.grid.n_cells
+        # L f is f[0] * _col0 plus the Toeplitz part on columns 1..N,
+        # shifted down one row
         out = self._col0 * f[0]
-        out[1:] += np.convolve(self._kernel[:n], f[1:])[:n]
+        out[1:] += _lower_toeplitz(self._kernel, f[1:])
         return out
 
     def _lower_transposed(self, q: np.ndarray) -> np.ndarray:
-        # L^T q: row 0 is _col0 . q; rows 1..N are the same convolution on
+        # L^T q: row 0 is _col0 . q; rows 1..N are the same matvec on
         # reversed input, reversed back
-        n = self.grid.n_cells
-        out = np.empty(n + 1)
+        out = np.empty(self.grid.n_cells + 1)
         out[0] = self._col0 @ q
-        out[1:] = np.convolve(self._kernel[:n], q[:0:-1])[:n][::-1]
+        out[1:] = _lower_toeplitz(self._kernel, q[:0:-1])[::-1]
         return out
 
     @cached_property
@@ -197,6 +207,47 @@ class FracOperator:
             table = table[::-1, ::-1].copy()
         table.setflags(write=False)
         return table
+
+
+# side of the diagonal triangles that _lower_toeplitz convolves directly;
+# at or below it the whole matvec is one np.convolve
+_LEAF = 512
+
+
+def _lower_toeplitz(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """y[i] = sum_{j <= i} t[i - j] x[j] for i < n = len(x); t has >= n lags.
+
+    Hairer-Lubich-Schlichte block scheme: the diagonal triangles of _LEAF
+    rows are direct convolutions; at each level s = _LEAF, 2 _LEAF, ...
+    the squares with rows [(2q+1)s, (2q+2)s) and columns [2qs, (2q+1)s)
+    use lags 1..2s-1 and go through one batched rfft/irfft of size 2s.
+    Every (row, column) pair below the diagonal triangles lies in exactly
+    one square: the level of the highest bit where their leaf indices
+    differ.
+    """
+    n = x.size
+    if n <= _LEAF:
+        return np.convolve(t[:n], x)[:n]
+    # pad to _LEAF * 2^k so that every level's squares tile the arrays
+    size = _LEAF << (-(-n // _LEAF) - 1).bit_length()
+    cols = np.zeros(size)
+    cols[:n] = x
+    lags = np.zeros(size)
+    lags[: n - 1] = t[1:n]  # lags[m] = t[m + 1]
+    y = np.zeros(size)
+    for lo in range(0, n, _LEAF):
+        m = min(_LEAF, n - lo)
+        y[lo : lo + m] = np.convolve(t[:m], x[lo : lo + m])[:m]
+    s = _LEAF
+    while s < n:
+        q = (n - s - 1) // (2 * s) + 1  # squares whose rows start before n
+        blocks = cols[: 2 * q * s].reshape(q, 2 * s)[:, :s]
+        spec = np.fft.rfft(blocks, 2 * s) * np.fft.rfft(lags[: 2 * s - 1], 2 * s)
+        # row r of a square is entry s - 1 + r of the linear convolution;
+        # the circular wrap lands on entries below s - 1 only
+        y[: 2 * q * s].reshape(q, 2 * s)[:, s:] += np.fft.irfft(spec, 2 * s)[:, s - 1 : -1]
+        s *= 2
+    return y[:n]
 
 
 def build_left_rlfi(grid: Grid, order: FracOrder | float) -> FracOperator:

@@ -335,6 +335,11 @@ class DiscreteProblem:
             g[k] += self._RD_ops[j].apply(q)
         return g
 
+    def residual(self, Y: np.ndarray) -> Residual:
+        """The Euler-Lagrange residual rows with their weighted norm."""
+        vals = self.residual_values(Y)
+        return Residual(self.grid, vals, weighted_norm(self.grid, vals))
+
     def gradient(self, Y: np.ndarray) -> np.ndarray:
         """d(functional)/d(node values); exactly quad_weights * residual."""
         return self.grid.quad_weights * self.residual_values(Y)
@@ -369,15 +374,17 @@ class DiscreteProblem:
         """Exact Hessian of the functional on the free node values.
 
         free holds one contiguous slice of node indices per unknown; rows and
-        columns follow the unknowns in order.  The left operators' dense
-        tables (FracOperator.coeffs, built on this first use and cached)
-        enter as views of their free columns.  The node-0 continuation of the v channels is
-        folded into the weights: row 0 of a continued v channel repeats row
-        1, and row 0 of an integral table is zero.
+        columns follow the unknowns in order.  The dense tables
+        (FracOperator.coeffs, built on first use and cached) of the channels
+        that appear in curvature enter as views of their free columns; the
+        other channels' tables are never built.  The node-0 continuation of
+        the v channels is folded into the weights: row 0 of a continued v
+        channel repeats row 1, and row 0 of an integral table is zero.
         """
         w = self.grid.quad_weights
-        tables = [(self.I_ops[i].coeffs, k) for i, k in self.u_channels]
-        tables += [(self.D_ops[j].coeffs, k) for j, k in self.v_channels]
+        ops = [(self.I_ops[i], k) for i, k in self.u_channels]
+        ops += [(self.D_ops[j], k) for j, k in self.v_channels]
+        tables = {c: (ops[c][0].coeffs, ops[c][1]) for pair in curvature for c in pair}
         n_u = len(self.u_channels)
         offsets = np.cumsum([0] + [s.stop - s.start for s in free])
         blocks = [slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
@@ -448,9 +455,7 @@ def el_residual_general(problem: VarProblem, y, grid: Grid) -> Residual:
     with adjoint-built right operators, so that quad_weights * values is the
     exact gradient of the discrete functional.
     """
-    dp = assemble(problem, grid)
-    vals = dp.residual_values(_normalize_samples(problem, grid, y))
-    return Residual(grid, vals, weighted_norm(grid, vals))
+    return assemble(problem, grid).residual(_normalize_samples(problem, grid, y))
 
 
 def augmented_lagrangian(problem: VarProblem, lam: float) -> VarProblem:

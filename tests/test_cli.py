@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,3 +256,28 @@ def test_config_echo_allows_rerun(tmp_path):
                "--out", str(out2), "--quiet"])
     assert rc == 0
     assert read_summary(out2)["J"] == read_summary(out)["J"]
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "demos" / "problems"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["orders"].update(alpha=1e-17), "1 - alpha rounds to 1"),
+    (lambda doc: doc.update(lagrangian="(v - 1)^2 + w"), "undeclared variable"),
+], ids=["tiny-alpha", "undeclared-variable"])
+def test_problem_rejected_by_varproblem_exits_2(tmp_path, capsys, edit, message):
+    doc = json.loads((FIXTURES / "el_residual_extremal.json").read_text())
+    edit(doc)
+    rc = main(["run", write_problem(tmp_path / "p.json", doc),
+               "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_sweep_order_rejected_by_varproblem_exits_2(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "limit_sweep_classical.json").read_text())
+    doc["sweep"]["orders"] = [1e-17]
+    rc = main(["run", write_problem(tmp_path / "p.json", doc),
+               "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 2
+    assert "1 - alpha rounds to 1" in capsys.readouterr().err

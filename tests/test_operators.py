@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fracvar.problems
+from fracvar import operators
 from fracvar import (
     FracOperator,
     FracOrder,
@@ -373,3 +374,112 @@ def test_residual_and_gradient_build_no_dense_table(monkeypatch):
     assert np.all(np.isfinite(gradient(p, y, g)))
     assert len(made) == 3 * 4
     assert all("coeffs" not in op.__dict__ for op in made)
+
+
+# ---------------------------------------------------------------- block-FFT apply
+
+LEAF = operators._LEAF
+
+
+def adjoint_rlfi(g, order):
+    return build_right_adjoint(build_left_rlfi(g, order))
+
+
+def adjoint_rlfd(g, order):
+    return build_right_adjoint(build_left_rlfd(g, order))
+
+
+SIX_BUILDERS = (build_left_rlfi, build_left_rlfd, adjoint_rlfi, adjoint_rlfd,
+                build_right_rlfi, build_right_rlfd)
+
+
+def direct_toeplitz(t, x):
+    """The single direct convolution every apply made before the block path."""
+    return np.convolve(t[: x.size], x)[: x.size]
+
+
+def absolute(op):
+    """The operator with every entry replaced by its magnitude."""
+    return FracOperator(op.kind, op.order, op.grid, np.abs(op._kernel),
+                        np.abs(op._col0), op._form)
+
+
+@pytest.mark.parametrize("n", (513, 1000, 1024, 2048))
+@pytest.mark.parametrize("build", SIX_BUILDERS)
+def test_block_apply_matches_dense_view(n, build):
+    g = Grid(0.0, 1.0, n)
+    rng = np.random.default_rng(n)
+    for order in (0.1, 0.5, 0.95):
+        op = build(g, order)
+        for f in (rng.standard_normal(n + 1), np.sqrt(g.nodes), np.ones(n + 1)):
+            got = op.apply(f)
+            want = op.coeffs @ f
+            scale = float(np.max(np.abs(want)))
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale, (op.kind, order)
+
+
+@pytest.mark.parametrize("build", SIX_BUILDERS)
+def test_block_apply_matches_direct_convolution_at_4096(build, monkeypatch):
+    # D^b sqrt(x) is constant while its terms grow like h^-b, so the
+    # output cancels; round-off is measured against the terms it sums
+    n = 4096
+    g = Grid(0.0, 1.0, n)
+    rng = np.random.default_rng(41)
+    for order in (0.1, 0.5, 0.95):
+        op = build(g, order)
+        inputs = (rng.standard_normal(n + 1), np.sqrt(g.nodes), np.ones(n + 1))
+        got = [op.apply(f) for f in inputs]
+        with monkeypatch.context() as m:
+            m.setattr(operators, "_lower_toeplitz", direct_toeplitz)
+            want = [op.apply(f) for f in inputs]
+            # the largest sum of |terms| over an output row
+            scales = [float(np.max(absolute(op).apply(np.abs(f)))) for f in inputs]
+        for a, b, scale in zip(got, want, scales):
+            assert np.max(np.abs(a - b)) <= 1e-13 * scale, (op.kind, order)
+
+
+@pytest.mark.parametrize("build", (build_left_rlfi, build_left_rlfd))
+def test_block_apply_left_causality(build):
+    # bumping node j leaves (Lf)_i for i < j bit-identical, across leaf
+    # edges and the dyadic split
+    n = 4096
+    g = Grid(0.0, 1.0, n)
+    op = build(g, 0.7)
+    f = np.random.default_rng(5).standard_normal(n + 1)
+    base = op.apply(f)
+    for j in (1, LEAF - 1, LEAF, LEAF + 1, n // 2, n - 1):
+        bumped = f.copy()
+        bumped[j] += 1.0
+        out = op.apply(bumped)
+        assert np.array_equal(out[:j], base[:j]), j
+        assert out[j] != base[j]
+
+
+def test_block_apply_integration_by_parts():
+    n = 4096
+    g = Grid(0.0, 1.0, n)
+    rng = np.random.default_rng(29)
+    w = g.quad_weights
+    for op in (build_left_rlfi(g, 0.4), build_left_rlfd(g, 0.6)):
+        adj = build_right_adjoint(op)
+        for _ in range(5):
+            f = rng.standard_normal(n + 1)
+            h = rng.standard_normal(n + 1)
+            lhs = float(w @ (op.apply(f) * h))
+            rhs = float(w @ (f * adj.apply(h)))
+            scale = float(w @ (absolute(op).apply(np.abs(f)) * np.abs(h)))
+            assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", (1, 2, 7, 300, LEAF - 1, LEAF))
+def test_apply_up_to_leaf_is_one_direct_convolution(n, monkeypatch):
+    g = Grid(0.0, 1.0, n)
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal(n + 1)
+    t = rng.standard_normal(n + 1)
+    assert np.array_equal(operators._lower_toeplitz(t, f[1:]), direct_toeplitz(t, f[1:]))
+    ops = [build(g, 0.35) for build in SIX_BUILDERS]
+    got = [op.apply(f) for op in ops]
+    monkeypatch.setattr(operators, "_lower_toeplitz", direct_toeplitz)
+    for op, out in zip(ops, got):
+        assert np.array_equal(out, op.apply(f)), op.kind

@@ -1,4 +1,5 @@
-"""Property tests for the exact discrete identities.
+"""Property tests for the exact discrete identities and the parse/print
+round trip.
 
 Sizes run from 1 to 300 cells, orders over the open interval (0, 1), and
 samples over random node vectors.  Examples are derandomized, so every run
@@ -19,6 +20,7 @@ from fracvar import (
     evaluate_functional,
     gradient,
 )
+from fracvar.expressions import FUNCTIONS, Bin, Call, Neg, Num, Var, parse, simplify, to_string
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -70,3 +72,34 @@ def test_gradient_identity_quadratic(case, alpha, beta, c):
     j_minus = evaluate_functional(p, y - d, g)
     scale = 1.0 + abs(j_plus) + abs(j_minus) + float(np.abs(grad) @ np.abs(d))
     assert abs((j_plus - j_minus) / 2.0 - float(grad @ d)) <= 1e-11 * scale
+
+
+# parser-shaped trees: the parser reads literals without a sign, so every
+# negation is an explicit Neg node
+literals = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+leaves = st.one_of(st.builds(Num, literals),
+                   st.builds(Var, st.sampled_from(("x", "u", "v", "u1", "v2"))))
+parser_shaped = st.recursive(
+    leaves,
+    lambda kids: st.one_of(
+        st.builds(Neg, kids),
+        st.builds(Call, st.sampled_from(FUNCTIONS), kids),
+        st.builds(Bin, st.sampled_from(("+", "-", "*", "/", "^")), kids, kids),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(parser_shaped)
+def test_parse_inverts_to_string(e):
+    assert parse(to_string(e)) == e
+
+
+@settings(PROPERTY, max_examples=300)
+@given(parser_shaped)
+def test_to_string_fixpoint_on_simplified(e):
+    # simplify folds negations into negative literals, which reparse as
+    # Neg(Num): the tree changes, its printed form must not
+    printed = to_string(simplify(e))
+    assert to_string(parse(printed)) == printed

@@ -230,6 +230,22 @@ def test_hessian_matches_gradient_differences():
     assert np.max(np.abs(Hd - fd_free)) <= 1e-8 * np.max(np.abs(fd_free))
 
 
+
+def test_hessian_builds_only_curved_tables():
+    # (v - 1)^2 has curvature in v alone; the integral channel's dense
+    # table must stay unbuilt, and H is 2 D^T W D on the free columns
+    p = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian="(v - 1)^2")
+    g = Grid(0.0, 1.0, 64)
+    dp = assemble(p, g)
+    Y = np.sqrt(g.nodes)[None, :]
+    H = dp.hessian(dp.curvature(*dp.channels(Y)), (slice(1, g.n_nodes),))
+    assert "coeffs" not in dp.I_ops[0].__dict__
+    D = dp.D_ops[0].coeffs[:, 1:]
+    ws = 2.0 * g.quad_weights
+    ws[1] += ws[0]
+    ws[0] = 0.0
+    assert np.allclose(H, D.T @ (ws[:, None] * D), rtol=1e-13, atol=0.0)
+
 def test_minimize_two_unknowns_two_orders():
     p = two_unknown_problem()
     g = Grid(0.0, 1.0, 32)
