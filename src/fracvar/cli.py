@@ -6,6 +6,11 @@ Usage:
 Exit codes: 0 success, 2 invalid problem file, 3 numerical failure,
 4 non-convergence.  summary.json is byte-stable across runs except for
 its "timings" entry; "summary_hash" is computed with timings removed.
+
+Tasks that write the same files share a runner: functional and
+el-residual evaluate a candidate, solve and solve-iso run a solver.  The
+task list is the key list of _RUNNERS and the operator kinds that of
+_OPERATORS.
 """
 
 from __future__ import annotations
@@ -42,17 +47,12 @@ from .solve import _start as _solver_start
 
 __all__ = ["main"]
 
-_TASKS = (
-    "eval-op",
-    "functional",
-    "el-residual",
-    "solve",
-    "solve-iso",
-    "certify-convex",
-    "check-field",
-    "limit-sweep",
-)
-_OP_KINDS = ("left-rlfi", "left-rlfd", "right-rlfi", "right-rlfd")
+_OPERATORS = {
+    "left-rlfi": build_left_rlfi,
+    "left-rlfd": build_left_rlfd,
+    "right-rlfi": build_right_rlfi,
+    "right-rlfd": build_right_rlfd,
+}
 
 
 class ProblemFileError(ValueError):
@@ -83,6 +83,13 @@ def _number(val, where: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ProblemFileError(f"{where}: expected a number, got {val!r}")
     return float(val)
+
+
+def _integer(val, where: str, lo: int = 1) -> int:
+    if isinstance(val, bool) or not isinstance(val, int) or val < lo:
+        what = "a positive integer" if lo == 1 else f"an integer >= {lo}"
+        raise ProblemFileError(f"{where}: expected {what}, got {val!r}")
+    return val
 
 
 def _order_value(val, where: str) -> float:
@@ -195,9 +202,7 @@ def resolve(doc: dict, n_cells_override: int | None = None) -> dict:
     alphas = _order_list(_need(orders, "alpha", "orders"), "orders.alpha")
     betas = _order_list(_need(orders, "beta", "orders"), "orders.beta")
 
-    unknowns = doc.get("unknowns", 1)
-    if isinstance(unknowns, bool) or not isinstance(unknowns, int) or unknowns < 1:
-        raise ProblemFileError(f"unknowns: expected a positive integer, got {unknowns!r}")
+    unknowns = _integer(doc.get("unknowns", 1), "unknowns")
 
     lagrangian = _expr_str(_need(doc, "lagrangian", "problem"), "lagrangian")
 
@@ -227,13 +232,9 @@ def resolve(doc: dict, n_cells_override: int | None = None) -> dict:
 
     gobj = _need(doc, "grid", "problem")
     _only(gobj, "grid", ("n_cells",))
-    n_cells = _need(gobj, "n_cells", "grid")
-    if isinstance(n_cells, bool) or not isinstance(n_cells, int) or n_cells < 1:
-        raise ProblemFileError(f"grid.n_cells: expected a positive integer, got {n_cells!r}")
+    n_cells = _integer(_need(gobj, "n_cells", "grid"), "grid.n_cells")
     if n_cells_override is not None:
-        if n_cells_override < 1:
-            raise ProblemFileError(f"--n-cells: expected a positive integer, got {n_cells_override}")
-        n_cells = n_cells_override
+        n_cells = _integer(n_cells_override, "--n-cells")
 
     sobj = doc.get("solver", {})
     _only(sobj, "solver", ("max_iters", "grad_tol", "step_init"))
@@ -243,14 +244,7 @@ def resolve(doc: dict, n_cells_override: int | None = None) -> dict:
         "grad_tol": sobj.get("grad_tol", defaults.grad_tol),
         "step_init": sobj.get("step_init", defaults.step_init),
     }
-    if (
-        isinstance(solver["max_iters"], bool)
-        or not isinstance(solver["max_iters"], int)
-        or solver["max_iters"] < 1
-    ):
-        raise ProblemFileError(
-            f"solver.max_iters: expected a positive integer, got {solver['max_iters']!r}"
-        )
+    _integer(solver["max_iters"], "solver.max_iters")
     for key in ("grad_tol", "step_init"):
         v = _number(solver[key], f"solver.{key}")
         if not v > 0:
@@ -260,9 +254,9 @@ def resolve(doc: dict, n_cells_override: int | None = None) -> dict:
     pins = _pins_spec(doc.get("pins"), unknowns)
 
     task = _need(doc, "task", "problem")
-    if task not in _TASKS:
+    if task not in _RUNNERS:
         raise ProblemFileError(
-            f"task: unknown task {task!r}; expected one of {list(_TASKS)}"
+            f"task: unknown task {task!r}; expected one of {list(_RUNNERS)}"
         )
 
     candidate = None
@@ -282,9 +276,9 @@ def resolve(doc: dict, n_cells_override: int | None = None) -> dict:
         oobj = doc["operator"]
         _only(oobj, "operator", ("kind", "order"))
         kind = _need(oobj, "kind", "operator")
-        if kind not in _OP_KINDS:
+        if kind not in _OPERATORS:
             raise ProblemFileError(
-                f"operator.kind: unknown kind {kind!r}; expected one of {list(_OP_KINDS)}"
+                f"operator.kind: unknown kind {kind!r}; expected one of {list(_OPERATORS)}"
             )
         operator = {
             "kind": kind,
@@ -314,12 +308,9 @@ def resolve(doc: dict, n_cells_override: int | None = None) -> dict:
         if "box" in cvobj:
             certify["box"] = [list(p) for p in _box_spec(cvobj["box"], 3, "certify.box")]
         if "samples_per_axis" in cvobj:
-            spa = cvobj["samples_per_axis"]
-            if isinstance(spa, bool) or not isinstance(spa, int) or spa < 3:
-                raise ProblemFileError(
-                    f"certify.samples_per_axis: expected an integer >= 3, got {spa!r}"
-                )
-            certify["samples_per_axis"] = spa
+            certify["samples_per_axis"] = _integer(
+                cvobj["samples_per_axis"], "certify.samples_per_axis", lo=3
+            )
 
     # task-specific requirements
     if task == "eval-op" and (operator is None or candidate is None):
@@ -393,19 +384,18 @@ def _build_grid(cfg: dict) -> Grid:
     return Grid(cfg["interval"]["a"], cfg["interval"]["b"], cfg["grid"]["n_cells"])
 
 
-def _build_cfg(cfg: dict) -> SolveConfig:
-    s = cfg["solver"]
-    return SolveConfig(
-        max_iters=s["max_iters"], grad_tol=s["grad_tol"], step_init=s["step_init"]
-    )
-
-
 def _candidate_samples(cfg: dict, problem: VarProblem, grid: Grid) -> np.ndarray:
     if "candidate" not in cfg:
         return _solver_start(problem, grid, None)
     env = {"x": grid.nodes}
     rows = [_evaluate_array(parse(text), env, grid.n_nodes) for text in cfg["candidate"]]
     return np.array(rows)
+
+
+def _report_samples(report) -> np.ndarray:
+    """SolveReport.y as a (K, n_nodes) array."""
+    fns = report.y if isinstance(report.y, tuple) else (report.y,)
+    return np.array([fn.values for fn in fns])
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -445,61 +435,50 @@ def _nodes_table(
 
 def _run_eval_op(cfg: dict, out_dir: Path):
     grid = _build_grid(cfg)
-    order = cfg["operator"]["order"]
-    kind = cfg["operator"]["kind"]
-    build = {
-        "left-rlfi": build_left_rlfi,
-        "left-rlfd": build_left_rlfd,
-        "right-rlfi": build_right_rlfi,
-        "right-rlfd": build_right_rlfd,
-    }[kind]
-    op = build(grid, order)
-    f_expr = parse(cfg["candidate"][0])
-    f_vals = _evaluate_array(f_expr, {"x": grid.nodes}, grid.n_nodes)
+    op = _OPERATORS[cfg["operator"]["kind"]](grid, cfg["operator"]["order"])
+    f_vals = _evaluate_array(parse(cfg["candidate"][0]), {"x": grid.nodes}, grid.n_nodes)
     result = op.apply(f_vals)
-    _write_csv(
-        out_dir / "nodes.csv",
-        ["x", "f", "result"],
-        zip(grid.nodes, f_vals, result),
-    )
-    summary = {
-        "operator": {"kind": kind, "order": order},
-        "result_norm": weighted_norm(grid, result),
-    }
+    _write_csv(out_dir / "nodes.csv", ["x", "f", "result"],
+               zip(grid.nodes, f_vals, result))
+    return {"operator": dict(cfg["operator"]),
+            "result_norm": weighted_norm(grid, result)}, 0
+
+
+def _run_candidate(cfg: dict, out_dir: Path):
+    """functional and el-residual: J at the candidate; el-residual adds
+    the residual columns and norms."""
+    problem = _build_problem(cfg)
+    grid = _build_grid(cfg)
+    Y = _candidate_samples(cfg, problem, grid)
+    dp = assemble(problem, grid)
+    res = dp.residual(Y) if cfg["task"] == "el-residual" else None
+    summary = {"J": dp.functional(Y)}
+    if res is not None:
+        summary["residual_norm"] = res.norm
+        summary["residual_interior_norm"] = res.interior_norm()
+    _nodes_table(out_dir, dp, Y, residual=None if res is None else res.values)
     return summary, 0
 
 
-def _run_functional(cfg: dict, out_dir: Path):
+def _run_solve(cfg: dict, out_dir: Path):
+    """solve (minimize) and solve-iso (solve_isoperimetric)."""
     problem = _build_problem(cfg)
     grid = _build_grid(cfg)
-    Y = _candidate_samples(cfg, problem, grid)
+    y0 = _candidate_samples(cfg, problem, grid) if "candidate" in cfg else None
+    solver = minimize if cfg["task"] == "solve" else solve_isoperimetric
+    report = solver(problem, grid, SolveConfig(**cfg["solver"]), y0=y0)
+    Y = _report_samples(report)
+    # stationarity of the multiplier-augmented problem is the meaningful
+    # residual; an abnormal solve-iso (lam None) has none to report
+    if report.lam is not None:
+        problem = augmented_lagrangian(problem, report.lam)
     dp = assemble(problem, grid)
-    J = dp.functional(Y)
-    _nodes_table(out_dir, dp, Y, residual=None)
-    return {"J": J}, 0
-
-
-def _run_el_residual(cfg: dict, out_dir: Path):
-    problem = _build_problem(cfg)
-    grid = _build_grid(cfg)
-    Y = _candidate_samples(cfg, problem, grid)
-    dp = assemble(problem, grid)
-    res = dp.residual(Y)
-    J = dp.functional(Y)
-    _nodes_table(out_dir, dp, Y, residual=res.values)
-    return {
-        "J": J,
-        "residual_norm": res.norm,
-        "residual_interior_norm": res.interior_norm(),
-    }, 0
-
-
-def _solve_summary(problem, grid, report):
-    Y = np.atleast_2d(
-        report.y.values
-        if not isinstance(report.y, tuple)
-        else np.array([fn.values for fn in report.y])
-    )
+    residual = None
+    if cfg["task"] == "solve" or report.lam is not None:
+        residual = dp.residual(Y).values
+    _nodes_table(out_dir, dp, Y, residual)
+    _write_csv(out_dir / "history.csv", ["iter", "J", "grad_norm"],
+               ((i, J, g) for i, (J, g) in enumerate(report.history)))
     summary = {
         "J": report.J,
         "residual_norm": report.residual_norm,
@@ -508,42 +487,6 @@ def _solve_summary(problem, grid, report):
         "iters": report.iters,
         "converged": report.converged,
     }
-    return Y, summary
-
-
-def _run_solve(cfg: dict, out_dir: Path):
-    problem = _build_problem(cfg)
-    grid = _build_grid(cfg)
-    y0 = _candidate_samples(cfg, problem, grid) if "candidate" in cfg else None
-    report = minimize(problem, grid, _build_cfg(cfg), y0=y0)
-    Y, summary = _solve_summary(problem, grid, report)
-    dp = assemble(problem, grid)
-    _nodes_table(out_dir, dp, Y, residual=dp.residual(Y).values)
-    _write_csv(
-        out_dir / "history.csv",
-        ["iter", "J", "grad_norm"],
-        ((i, J, g) for i, (J, g) in enumerate(report.history)),
-    )
-    return summary, 0 if report.converged else 4
-
-
-def _run_solve_iso(cfg: dict, out_dir: Path):
-    problem = _build_problem(cfg)
-    grid = _build_grid(cfg)
-    y0 = _candidate_samples(cfg, problem, grid) if "candidate" in cfg else None
-    report = solve_isoperimetric(problem, grid, _build_cfg(cfg), y0=y0)
-    Y, summary = _solve_summary(problem, grid, report)
-    # stationarity of the multiplier-augmented problem is the meaningful residual
-    if report.lam is not None:
-        dp = assemble(augmented_lagrangian(problem, report.lam), grid)
-        _nodes_table(out_dir, dp, Y, residual=dp.residual(Y).values)
-    else:
-        _nodes_table(out_dir, assemble(problem, grid), Y, residual=None)
-    _write_csv(
-        out_dir / "history.csv",
-        ["iter", "J", "grad_norm"],
-        ((i, J, g) for i, (J, g) in enumerate(report.history)),
-    )
     return summary, 0 if report.converged else 4
 
 
@@ -560,11 +503,7 @@ def _run_certify_convex(cfg: dict, out_dir: Path):
         "inconclusive_points": len(report.inconclusive),
     }
     if report.counterexample is not None:
-        c = report.counterexample
-        summary["counterexample"] = {
-            "x": c.x, "u": c.u, "v": c.v, "du": c.du, "dv": c.dv,
-            "violation": c.violation,
-        }
+        summary["counterexample"] = dataclasses.asdict(report.counterexample)
     return summary, 0
 
 
@@ -582,11 +521,8 @@ def _run_check_field(cfg: dict, out_dir: Path):
         "max_residual_slope": id_report.max_residual_slope,
         "max_residual_momentum": id_report.max_residual_momentum,
     }
-    alpha = problem.alphas[0]
     Y = _candidate_samples(cfg, problem, grid)
-    traj = verify_field_minimizer(
-        cfg["lagrangian"], field, Y[0], alpha, grid
-    )
+    traj = verify_field_minimizer(cfg["lagrangian"], field, Y[0], problem.alphas[0], grid)
     summary.update(
         {
             "trajectory": traj.trajectory,
@@ -622,12 +558,11 @@ def _run_limit_sweep(cfg: dict, out_dir: Path):
         # the sweep solves without the constraint, as minimize requires
         problem = _build_problem(cfg, alphas=(order,), betas=(order,), constraint=None)
         try:
-            report = minimize(problem, grid, _build_cfg(cfg))
+            report = minimize(problem, grid, SolveConfig(**cfg["solver"]))
         except ArithmeticError as exc:
             rows.append((order, "", "", f"error: {exc}"))
             continue
-        y_vals = report.y.values if not isinstance(report.y, tuple) else report.y[0].values
-        dist = weighted_norm(grid, y_vals - classical)
+        dist = weighted_norm(grid, _report_samples(report)[0] - classical)
         status = "ok" if report.converged else "no-converge"
         any_ok = any_ok or report.converged
         rows.append((order, report.J, dist, status))
@@ -644,10 +579,10 @@ def _run_limit_sweep(cfg: dict, out_dir: Path):
 
 _RUNNERS = {
     "eval-op": _run_eval_op,
-    "functional": _run_functional,
-    "el-residual": _run_el_residual,
+    "functional": _run_candidate,
+    "el-residual": _run_candidate,
     "solve": _run_solve,
-    "solve-iso": _run_solve_iso,
+    "solve-iso": _run_solve,
     "certify-convex": _run_certify_convex,
     "check-field": _run_check_field,
     "limit-sweep": _run_limit_sweep,

@@ -542,3 +542,18 @@ def free_vars(e: Expr) -> frozenset[str]:
     if isinstance(e, Bin):
         return free_vars(e.lhs) | free_vars(e.rhs)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _rename(e: Expr, names: Mapping[str, str]) -> Expr:
+    """e with every variable in names replaced by its new name."""
+    if isinstance(e, Num):
+        return e
+    if isinstance(e, Var):
+        return Var(names.get(e.name, e.name))
+    if isinstance(e, Neg):
+        return Neg(_rename(e.arg, names))
+    if isinstance(e, Call):
+        return Call(e.fn, _rename(e.arg, names))
+    if isinstance(e, Bin):
+        return Bin(e.op, _rename(e.lhs, names), _rename(e.rhs, names))
+    raise TypeError(f"not an expression node: {e!r}")

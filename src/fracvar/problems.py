@@ -12,7 +12,8 @@ Channel variables seen by the Lagrangian, for unknowns y_1..y_K:
     v{c}  with c = (j-1)*K + k   the left RLFD of order beta_j of y_k
 
 When there is exactly one u (or v) channel, the bare name "u" (or "v") is
-an accepted alias.  Every Lagrangian may also use "x".
+an alias of "u1" (or "v1"); the two spellings name the same channel and may
+be mixed.  Every Lagrangian may also use "x".
 
 Endpoint policy: the derivative channel's value at the first node is the
 raw scheme value h^-beta * y_0, which is meaningless when y(a) != 0 (the
@@ -54,6 +55,7 @@ from .expressions import (
     parse,
     simplify,
     _evaluate_array,
+    _rename,
 )
 from .grids import Grid, SampledFn, weighted_norm
 from .operators import (
@@ -255,25 +257,16 @@ class DiscreteProblem:
         self.v_channels = tuple(
             (j, k) for j in range(len(problem.betas)) for k in range(K)
         )
-        L = problem.lagrangian
-        self.dL_du = tuple(differentiate(L, name) for name in self._u_eval_names())
-        self.dL_dv = tuple(differentiate(L, name) for name in self._v_eval_names())
+        # the aliases u and v name channel 1, so L mixing both spellings
+        # differentiates by the indexed names alone
+        L = _rename(problem.lagrangian, {"u": "u1", "v": "v1"})
+        self.dL_du = tuple(differentiate(L, name) for name in self.u_names)
+        self.dL_dv = tuple(differentiate(L, name) for name in self.v_names)
 
     def with_lagrangian(self, lagrangian: Expr) -> "DiscreteProblem":
         """The same problem and operators with another Lagrangian."""
         other = dataclasses.replace(self.problem, lagrangian=lagrangian, constraint=None)
         return DiscreteProblem(other, self.grid, (self.I_ops, self.D_ops))
-
-    def _u_eval_names(self) -> tuple[str, ...]:
-        # the name each channel is differentiated by / bound to
-        if self.problem.n_u_channels == 1 and "u" in free_vars(self.problem.lagrangian):
-            return ("u",)
-        return self.u_names
-
-    def _v_eval_names(self) -> tuple[str, ...]:
-        if self.problem.n_v_channels == 1 and "v" in free_vars(self.problem.lagrangian):
-            return ("v",)
-        return self.v_names
 
     # -- channel maps ------------------------------------------------------
 
@@ -350,7 +343,7 @@ class DiscreteProblem:
     def _second_partials(self) -> tuple[tuple[int, int, Expr], ...]:
         # (a, b, d2L/da db) for a <= b over the u channels, then the v
         # channels; identically zero partials are dropped
-        names = self._u_eval_names() + self._v_eval_names()
+        names = self.u_names + self.v_names
         out = []
         for a, first in enumerate(self.dL_du + self.dL_dv):
             for b in range(a, len(names)):

@@ -281,3 +281,129 @@ def test_sweep_order_rejected_by_varproblem_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "out"), "--quiet"])
     assert rc == 2
     assert "1 - alpha rounds to 1" in capsys.readouterr().err
+
+
+# -- output shapes ----------------------------------------------------------
+# Every task's exit code, files, CSV headers and top-level summary keys.
+
+def fixture_doc(stem, **edits):
+    doc = json.loads((FIXTURES / f"{stem}.json").read_text())
+    doc.update(edits)
+    return doc
+
+
+def multi_doc(task):
+    # two unknowns, two integral orders: channels u1..u4 and v1, v2
+    return fixture_doc(
+        "functional_zero", task=task, unknowns=2,
+        orders={"alpha": [0.5, 0.3], "beta": 0.5},
+        lagrangian="v1^2 + v2^2 + u1*u3 + u2*u4", candidate=["x", "x^2"],
+    )
+
+
+def eval_op_doc(kind):
+    return fixture_doc("evalop_rlfi", operator={"kind": kind, "order": 0.5},
+                       candidate="x")
+
+
+SUMMARY_BASE = {"task", "config", "input_sha256", "summary_hash", "timings"}
+SOLVE_KEYS = {"J", "residual_norm", "lambda", "constraint_gap", "iters", "converged"}
+CONVEX_KEYS = {"convex", "box", "samples_per_axis", "inconclusive_points"}
+NODES_1 = ["x", "y", "I_y", "D_y"]
+NODES_MULTI = ["x", "y1", "y2", "u1", "u2", "u3", "u4", "v1", "v2"]
+HISTORY = ["iter", "J", "grad_norm"]
+
+SHAPES = {
+    "eval-op": (
+        fixture_doc("evalop_rlfi"), 0,
+        {"nodes.csv": ["x", "f", "result"]}, {"operator", "result_norm"}),
+    "eval-op-left-rlfd": (
+        eval_op_doc("left-rlfd"), 0,
+        {"nodes.csv": ["x", "f", "result"]}, {"operator", "result_norm"}),
+    "eval-op-right-rlfi": (
+        eval_op_doc("right-rlfi"), 0,
+        {"nodes.csv": ["x", "f", "result"]}, {"operator", "result_norm"}),
+    "eval-op-right-rlfd": (
+        eval_op_doc("right-rlfd"), 0,
+        {"nodes.csv": ["x", "f", "result"]}, {"operator", "result_norm"}),
+    "functional": (
+        fixture_doc("functional_zero"), 0, {"nodes.csv": NODES_1}, {"J"}),
+    "functional-multi": (
+        multi_doc("functional"), 0, {"nodes.csv": NODES_MULTI}, {"J"}),
+    "el-residual": (
+        fixture_doc("el_residual_extremal"), 0,
+        {"nodes.csv": NODES_1 + ["residual"]},
+        {"J", "residual_norm", "residual_interior_norm"}),
+    "el-residual-multi": (
+        multi_doc("el-residual"), 0, {"nodes.csv": NODES_MULTI + ["r1", "r2"]},
+        {"J", "residual_norm", "residual_interior_norm"}),
+    "solve": (
+        fixture_doc("solve_quadratic"), 0,
+        {"nodes.csv": NODES_1 + ["residual"], "history.csv": HISTORY}, SOLVE_KEYS),
+    "solve-no-converge": (
+        base_solve_doc(lagrangian="(v - 1)^2 + v^4",
+                       solver={"max_iters": 3, "grad_tol": 1e-14}), 4,
+        {"nodes.csv": NODES_1 + ["residual"], "history.csv": HISTORY}, SOLVE_KEYS),
+    "solve-iso": (
+        fixture_doc("solve_iso_lambda2"), 0,
+        {"nodes.csv": NODES_1 + ["residual"], "history.csv": HISTORY}, SOLVE_KEYS),
+    "solve-iso-abnormal": (
+        fixture_doc("solve_iso_lambda2", constraint={"g": "x", "ell": 1.0}), 4,
+        {"nodes.csv": NODES_1, "history.csv": HISTORY}, SOLVE_KEYS),
+    "certify-convex": (
+        fixture_doc("certify_convex_mixed"), 0, {}, CONVEX_KEYS),
+    "certify-convex-violated": (
+        fixture_doc("certify_convex_mixed", lagrangian="-(v^2)"), 0, {},
+        CONVEX_KEYS | {"counterexample"}),
+    "check-field": (
+        fixture_doc("check_field_halfx"), 0,
+        {"nodes.csv": NODES_1 + ["phi", "eq_residual"]},
+        {"identities_pass", "max_residual_slope", "max_residual_momentum",
+         "trajectory", "eq_residual_norm", "field_tol", "J", "field_value",
+         "value_gap", "min_excess"}),
+    "limit-sweep": (
+        fixture_doc("limit_sweep_classical"), 0,
+        {"sweep.csv": ["order", "J", "distance", "status"]}, {"orders", "rows"}),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", list(SHAPES))
+def test_output_shape(tmp_path, case):
+    doc, code, tables, keys = SHAPES[case]
+    out = tmp_path / "out"
+    rc = main(["run", write_problem(tmp_path / "p.json", doc), "--out", str(out), "--quiet"])
+    assert rc == code
+    assert {p.name for p in out.iterdir()} == {"summary.json", *tables}
+    for name, header in tables.items():
+        with open(out / name, newline="") as fh:
+            assert next(csv.reader(fh)) == header
+    assert set(read_summary(out)) == SUMMARY_BASE | keys
+
+
+def test_abnormal_solve_iso_warns_and_reports_no_multiplier(tmp_path):
+    doc, *_ = SHAPES["solve-iso-abnormal"]
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="abnormal"):
+        rc = main(["run", write_problem(tmp_path / "p.json", doc),
+                   "--out", str(out), "--quiet"])
+    assert rc == 4
+    summary = read_summary(out)
+    assert summary["lambda"] is None and summary["converged"] is False
+
+
+def test_convexity_counterexample_keys(tmp_path):
+    doc, *_ = SHAPES["certify-convex-violated"]
+    out = tmp_path / "out"
+    main(["run", write_problem(tmp_path / "p.json", doc), "--out", str(out), "--quiet"])
+    summary = read_summary(out)
+    assert summary["convex"] is False
+    assert set(summary["counterexample"]) == {"x", "u", "v", "du", "dv", "violation"}
+
+
+def test_n_cells_override_zero_exits_2(tmp_path, capsys):
+    rc = main(["run", write_problem(tmp_path / "p.json", base_solve_doc()),
+               "--out", str(tmp_path / "out"), "--n-cells", "0", "--quiet"])
+    assert rc == 2
+    assert "--n-cells: expected a positive integer, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

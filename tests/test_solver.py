@@ -341,3 +341,22 @@ def test_config_validation():
         SolveConfig(armijo_c=1.5)
     with pytest.raises(ValueError):
         SolveConfig(armijo_shrink=0.0)
+
+
+@pytest.mark.parametrize("mixed, indexed", [
+    ("u^2 + u1 + v^2", "u1^2 + u1 + v^2"),
+    ("v^2 + v1 + u^2", "v1^2 + v1 + u^2"),
+    ("u^2 + v + v1^2", "u1^2 + v1 + v1^2"),
+], ids=["u-u1", "v-v1", "u-v-v1"])
+def test_alias_and_indexed_name_are_one_channel(grid64, mixed, indexed):
+    # with one channel per side, u and u1 (v and v1) name the same samples,
+    # so spelling a term either way must not change the gradient
+    a, b = (VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian=L,
+                       pins=(0.0, None)) for L in (mixed, indexed))
+    Y = np.sqrt(grid64.nodes)[None, :]
+    np.testing.assert_array_equal(assemble(a, grid64).gradient(Y),
+                                  assemble(b, grid64).gradient(Y))
+    ra, rb = minimize(a, grid64), minimize(b, grid64)
+    assert ra.converged and rb.converged
+    assert ra.J == pytest.approx(rb.J, rel=1e-12, abs=1e-15)
+    assert rb.J < -0.05
