@@ -95,8 +95,9 @@ def gradient_inequality_gap(L, x, u, v, du, dv) -> float:
     )
 
 
-def _sample_grid(expr: Expr, env: dict, shape, inconclusive: list, points) -> np.ndarray:
-    """Evaluate on a full grid; nan out domain failures and log the points."""
+def _sample_grid(expr: Expr, env: dict, shape, inconclusive: list, coords) -> np.ndarray:
+    """Evaluate on a full grid; nan out domain failures and log the points,
+    each as its values of the env names in coords."""
     try:
         return _evaluate_array(expr, env, shape)
     except (ExprDomainError, ExprEvalError):
@@ -108,7 +109,7 @@ def _sample_grid(expr: Expr, env: dict, shape, inconclusive: list, points) -> np
             out[i] = evaluate(expr, {k: float(v[i]) for k, v in flat_env.items()})
         except (ExprDomainError, ExprEvalError):
             if len(inconclusive) < _MAX_INCONCLUSIVE:
-                inconclusive.append(tuple(float(v) for v in points(flat_env, i)))
+                inconclusive.append(tuple(float(flat_env[k][i]) for k in coords))
     return out.reshape(shape)
 
 
@@ -133,16 +134,13 @@ def check_convexity(L, box, samples_per_axis: int = 9) -> ConvexityReport:
     xs, us, vs = (np.linspace(lo, hi, s) for (lo, hi) in box)
     U, V = np.meshgrid(us, vs, indexing="ij")
     inconclusive: list = []
-
-    def points(flat_env, i):
-        return (flat_env["x"][i], flat_env["u"][i], flat_env["v"][i])
-
+    xuv = ("x", "u", "v")
     worst = (0.0, None)  # (gap, Counterexample)
     for x in xs:
         env = {"x": np.full_like(U, x), "u": U, "v": V}
-        L0 = _sample_grid(L, env, U.shape, inconclusive, points)
-        Lu0 = _sample_grid(Lu, env, U.shape, inconclusive, points)
-        Lv0 = _sample_grid(Lv, env, U.shape, inconclusive, points)
+        L0 = _sample_grid(L, env, U.shape, inconclusive, xuv)
+        Lu0 = _sample_grid(Lu, env, U.shape, inconclusive, xuv)
+        Lv0 = _sample_grid(Lv, env, U.shape, inconclusive, xuv)
         # gap[i,j,p,q]: base point (u_i, v_j), target point (u_p, v_q)
         gap = (
             L0[None, None, :, :]
@@ -189,13 +187,8 @@ def _hessian_psd(L, xs, us, vs, inconclusive):
     Lvv = differentiate(differentiate(L, "v"), "v")
     X, U, V = np.meshgrid(xs, us, vs, indexing="ij")
     env = {"x": X, "u": U, "v": V}
-
-    def points(flat_env, i):
-        return (flat_env["x"][i], flat_env["u"][i], flat_env["v"][i])
-
-    a = _sample_grid(Luu, env, X.shape, inconclusive, points)
-    b = _sample_grid(Luv, env, X.shape, inconclusive, points)
-    c = _sample_grid(Lvv, env, X.shape, inconclusive, points)
+    a, b, c = (_sample_grid(d2, env, X.shape, inconclusive, ("x", "u", "v"))
+               for d2 in (Luu, Luv, Lvv))
     det = a * c - b * b
     bad = (a < -_TOL) | (c < -_TOL) | (det < -_TOL)
     bad &= ~np.isnan(a) & ~np.isnan(b) & ~np.isnan(c)
@@ -294,24 +287,16 @@ def check_field(L, field: ExactField, grid_2d=21) -> FieldReport:
     X, Y = np.meshgrid(np.linspace(xlo, xhi, nx), np.linspace(ylo, yhi, ny),
                        indexing="ij")
     inconclusive: list = []
-
-    def points(flat_env, i):
-        return (flat_env["x"][i], flat_env["y"][i])
-
     env_xy = {"x": X, "y": Y}
-    phi_v = _sample_grid(field.phi, env_xy, X.shape, inconclusive, points)
+    phi_v = _sample_grid(field.phi, env_xy, X.shape, inconclusive, ("x", "y"))
     sx = _sample_grid(differentiate(field.s_fn, "x"), env_xy, X.shape,
-                      inconclusive, points)
+                      inconclusive, ("x", "y"))
     sy = _sample_grid(differentiate(field.s_fn, "y"), env_xy, X.shape,
-                      inconclusive, points)
-
-    def points_uv(flat_env, i):
-        return (flat_env["x"][i], flat_env["u"][i])
-
+                      inconclusive, ("x", "y"))
     env_L = {"x": X, "u": Y, "v": phi_v}
-    L_v = _sample_grid(L, env_L, X.shape, inconclusive, points_uv)
+    L_v = _sample_grid(L, env_L, X.shape, inconclusive, ("x", "u"))
     Lv_v = _sample_grid(differentiate(L, "v"), env_L, X.shape,
-                        inconclusive, points_uv)
+                        inconclusive, ("x", "u"))
     r1 = np.abs(sx - (L_v - Lv_v * phi_v))
     r2 = np.abs(sy - Lv_v)
     m1 = float(np.nanmax(r1)) if not np.all(np.isnan(r1)) else np.nan

@@ -7,10 +7,10 @@ Exit codes: 0 success, 2 invalid problem file, 3 numerical failure,
 4 non-convergence.  summary.json is byte-stable across runs except for
 its "timings" entry; "summary_hash" is computed with timings removed.
 
-Tasks that write the same files share a runner: functional and
-el-residual evaluate a candidate, solve and solve-iso run a solver.  The
-task list is the key list of _RUNNERS and the operator kinds that of
-_OPERATORS.
+_TASKS declares each task once: its runner and the problem-file sections
+it requires or refuses.  Tasks that write the same files share a runner:
+functional and el-residual evaluate a candidate, solve and solve-iso run
+a solver.  The operator kinds are the keys of _OPERATORS.
 """
 
 from __future__ import annotations
@@ -125,27 +125,20 @@ def _pin_value(val, where: str):
     return _number(val, where)
 
 
-def _pins_spec(obj, unknowns: int):
-    if obj is None:
-        return None
+def _pins_spec(obj, unknowns: int) -> list[dict]:
+    """One {"left", "right"} pin object per unknown."""
     items = obj if isinstance(obj, list) else [obj]
     if len(items) != unknowns and isinstance(obj, list):
         raise ProblemFileError(
             f"pins: expected {unknowns} entries, got {len(items)}"
         )
-    pairs = []
+    pins = []
     for i, item in enumerate(items):
         where = f"pins[{i}]" if isinstance(obj, list) else "pins"
         _only(item, where, ("left", "right"))
-        pairs.append(
-            (
-                _pin_value(item.get("left"), f"{where}.left"),
-                _pin_value(item.get("right"), f"{where}.right"),
-            )
-        )
-    if len(pairs) == 1 and unknowns > 1:
-        pairs = pairs * unknowns
-    return tuple(pairs)
+        pins.append({side: _pin_value(item.get(side), f"{where}.{side}")
+                     for side in ("left", "right")})
+    return pins if len(pins) == unknowns else [dict(pins[0]) for _ in range(unknowns)]
 
 
 def _box_spec(val, n_axes: int, where: str):
@@ -186,9 +179,10 @@ def resolve(doc: dict, n_cells_override: int | None = None) -> dict:
 
     The returned dict is the effective configuration echoed into
     summary.json; feeding it back through this function reproduces the
-    same run.
+    same run.  Each section enters it as soon as it is validated.
     """
     _only(doc, "problem", _TOP_KEYS)
+    cfg = {}
 
     interval = _need(doc, "interval", "problem")
     _only(interval, "interval", ("a", "b"))
@@ -196,26 +190,27 @@ def resolve(doc: dict, n_cells_override: int | None = None) -> dict:
     b = _number(_need(interval, "b", "interval"), "interval.b")
     if not b > a:
         raise ProblemFileError(f"interval: requires b > a, got a={a}, b={b}")
+    cfg["interval"] = {"a": a, "b": b}
 
     orders = _need(doc, "orders", "problem")
     _only(orders, "orders", ("alpha", "beta"))
-    alphas = _order_list(_need(orders, "alpha", "orders"), "orders.alpha")
-    betas = _order_list(_need(orders, "beta", "orders"), "orders.beta")
+    cfg["orders"] = {
+        "alpha": _order_list(_need(orders, "alpha", "orders"), "orders.alpha"),
+        "beta": _order_list(_need(orders, "beta", "orders"), "orders.beta"),
+    }
 
-    unknowns = _integer(doc.get("unknowns", 1), "unknowns")
+    unknowns = cfg["unknowns"] = _integer(doc.get("unknowns", 1), "unknowns")
 
-    lagrangian = _expr_str(_need(doc, "lagrangian", "problem"), "lagrangian")
+    cfg["lagrangian"] = _expr_str(_need(doc, "lagrangian", "problem"), "lagrangian")
 
-    constraint = None
     if "constraint" in doc:
         cobj = doc["constraint"]
         _only(cobj, "constraint", ("g", "ell"))
-        constraint = {
+        cfg["constraint"] = {
             "g": _expr_str(_need(cobj, "g", "constraint"), "constraint.g"),
             "ell": _number(_need(cobj, "ell", "constraint"), "constraint.ell"),
         }
 
-    field = None
     if "field" in doc:
         fobj = doc["field"]
         _only(fobj, "field", ("phi", "s", "box"))
@@ -224,7 +219,7 @@ def resolve(doc: dict, n_cells_override: int | None = None) -> dict:
             if "box" in fobj
             else ((a, b), (0.0, 1.0))
         )
-        field = {
+        cfg["field"] = {
             "phi": _expr_str(_need(fobj, "phi", "field"), "field.phi"),
             "s": _expr_str(_need(fobj, "s", "field"), "field.s"),
             "box": [list(p) for p in fbox],
@@ -235,11 +230,12 @@ def resolve(doc: dict, n_cells_override: int | None = None) -> dict:
     n_cells = _integer(_need(gobj, "n_cells", "grid"), "grid.n_cells")
     if n_cells_override is not None:
         n_cells = _integer(n_cells_override, "--n-cells")
+    cfg["grid"] = {"n_cells": n_cells}
 
     sobj = doc.get("solver", {})
     _only(sobj, "solver", ("max_iters", "grad_tol", "step_init"))
     defaults = SolveConfig()
-    solver = {
+    solver = cfg["solver"] = {
         "max_iters": sobj.get("max_iters", defaults.max_iters),
         "grad_tol": sobj.get("grad_tol", defaults.grad_tol),
         "step_init": sobj.get("step_init", defaults.step_init),
@@ -251,15 +247,15 @@ def resolve(doc: dict, n_cells_override: int | None = None) -> dict:
             raise ProblemFileError(f"solver.{key}: must be positive, got {v}")
         solver[key] = v
 
-    pins = _pins_spec(doc.get("pins"), unknowns)
+    if doc.get("pins") is not None:
+        cfg["pins"] = _pins_spec(doc["pins"], unknowns)
 
-    task = _need(doc, "task", "problem")
-    if task not in _RUNNERS:
+    task = cfg["task"] = _need(doc, "task", "problem")
+    if task not in _TASKS:
         raise ProblemFileError(
-            f"task: unknown task {task!r}; expected one of {list(_RUNNERS)}"
+            f"task: unknown task {task!r}; expected one of {list(_TASKS)}"
         )
 
-    candidate = None
     if "candidate" in doc:
         cval = doc["candidate"]
         items = cval if isinstance(cval, list) else [cval]
@@ -267,11 +263,10 @@ def resolve(doc: dict, n_cells_override: int | None = None) -> dict:
             raise ProblemFileError(
                 f"candidate: expected {unknowns} expression(s), got {len(items)}"
             )
-        candidate = [
+        cfg["candidate"] = [
             _expr_str(item, f"candidate[{i}]") for i, item in enumerate(items)
         ]
 
-    operator = None
     if "operator" in doc:
         oobj = doc["operator"]
         _only(oobj, "operator", ("kind", "order"))
@@ -280,19 +275,18 @@ def resolve(doc: dict, n_cells_override: int | None = None) -> dict:
             raise ProblemFileError(
                 f"operator.kind: unknown kind {kind!r}; expected one of {list(_OPERATORS)}"
             )
-        operator = {
+        cfg["operator"] = {
             "kind": kind,
             "order": _order_value(_need(oobj, "order", "operator"), "operator.order"),
         }
 
-    sweep = None
     if "sweep" in doc:
         swobj = doc["sweep"]
         _only(swobj, "sweep", ("orders", "classical"))
         sw_orders = _need(swobj, "orders", "sweep")
         if not isinstance(sw_orders, list) or not sw_orders:
             raise ProblemFileError("sweep.orders: expected a non-empty list of orders")
-        sweep = {
+        cfg["sweep"] = {
             "orders": [
                 _order_value(v, f"sweep.orders[{i}]") for i, v in enumerate(sw_orders)
             ],
@@ -301,6 +295,7 @@ def resolve(doc: dict, n_cells_override: int | None = None) -> dict:
             ),
         }
 
+    # validated for every task, echoed only by the task that reads it
     certify = {"box": [[a, b], [-1.0, 1.0], [-1.0, 1.0]], "samples_per_axis": 9}
     if "certify" in doc:
         cvobj = doc["certify"]
@@ -311,40 +306,16 @@ def resolve(doc: dict, n_cells_override: int | None = None) -> dict:
             certify["samples_per_axis"] = _integer(
                 cvobj["samples_per_axis"], "certify.samples_per_axis", lo=3
             )
-
-    # task-specific requirements
-    if task == "eval-op" and (operator is None or candidate is None):
-        raise ProblemFileError("task eval-op: requires 'operator' and 'candidate'")
-    if task == "solve-iso" and constraint is None:
-        raise ProblemFileError("task solve-iso: requires 'constraint'")
-    if task == "check-field" and field is None:
-        raise ProblemFileError("task check-field: requires 'field'")
-    if task == "limit-sweep" and sweep is None:
-        raise ProblemFileError("task limit-sweep: requires 'sweep'")
-
-    cfg = {
-        "interval": {"a": a, "b": b},
-        "orders": {"alpha": alphas, "beta": betas},
-        "unknowns": unknowns,
-        "lagrangian": lagrangian,
-        "grid": {"n_cells": n_cells},
-        "solver": solver,
-        "task": task,
-    }
-    if constraint is not None:
-        cfg["constraint"] = constraint
-    if field is not None:
-        cfg["field"] = field
-    if pins is not None:
-        cfg["pins"] = [{"left": l, "right": r} for (l, r) in pins]
-    if candidate is not None:
-        cfg["candidate"] = candidate
-    if operator is not None:
-        cfg["operator"] = operator
-    if sweep is not None:
-        cfg["sweep"] = sweep
     if task == "certify-convex":
         cfg["certify"] = certify
+
+    _, requires, refuses = _TASKS[task]
+    if any(key not in cfg for key in requires):
+        listed = " and ".join(f"'{key}'" for key in requires)
+        raise ProblemFileError(f"task {task}: requires {listed}")
+    for key in refuses:
+        if key in cfg:
+            raise ProblemFileError(f"task {task}: does not take '{key}'")
     return cfg
 
 
@@ -577,15 +548,16 @@ def _run_limit_sweep(cfg: dict, out_dir: Path):
     return summary, 0 if any_ok else 4
 
 
-_RUNNERS = {
-    "eval-op": _run_eval_op,
-    "functional": _run_candidate,
-    "el-residual": _run_candidate,
-    "solve": _run_solve,
-    "solve-iso": _run_solve,
-    "certify-convex": _run_certify_convex,
-    "check-field": _run_check_field,
-    "limit-sweep": _run_limit_sweep,
+# task: (runner, sections it requires, sections it refuses)
+_TASKS = {
+    "eval-op": (_run_eval_op, ("operator", "candidate"), ()),
+    "functional": (_run_candidate, (), ()),
+    "el-residual": (_run_candidate, (), ()),
+    "solve": (_run_solve, (), ("constraint",)),
+    "solve-iso": (_run_solve, ("constraint",), ()),
+    "certify-convex": (_run_certify_convex, (), ()),
+    "check-field": (_run_check_field, ("field",), ()),
+    "limit-sweep": (_run_limit_sweep, ("sweep",), ()),
 }
 
 
@@ -662,7 +634,8 @@ def main(argv: list[str] | None = None) -> int:
 
     t0 = time.perf_counter()
     try:
-        result, code = _RUNNERS[cfg["task"]](cfg, out_dir)
+        runner = _TASKS[cfg["task"]][0]
+        result, code = runner(cfg, out_dir)
     except ProblemFileError as exc:
         print(f"fracvar: invalid problem file: {exc}", file=sys.stderr)
         return 2

@@ -407,3 +407,46 @@ def test_n_cells_override_zero_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "--n-cells: expected a positive integer, got 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# -- sections each task needs or refuses -------------------------------------
+
+REQUIRED = [
+    ("evalop_rlfi", "operator", "task eval-op: requires 'operator' and 'candidate'"),
+    ("evalop_rlfi", "candidate", "task eval-op: requires 'operator' and 'candidate'"),
+    ("solve_iso_lambda2", "constraint", "task solve-iso: requires 'constraint'"),
+    ("check_field_halfx", "field", "task check-field: requires 'field'"),
+    ("limit_sweep_classical", "sweep", "task limit-sweep: requires 'sweep'"),
+]
+
+
+@pytest.mark.parametrize("stem, section, message", REQUIRED,
+                         ids=[f"{stem}-{section}" for stem, section, _ in REQUIRED])
+def test_missing_required_section_exits_2(tmp_path, capsys, stem, section, message):
+    doc = fixture_doc(stem)
+    del doc[section]
+    out = tmp_path / "out"
+    rc = main(["run", write_problem(tmp_path / "p.json", doc), "--out", str(out), "--quiet"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"fracvar: invalid problem file: {message}\n"
+    assert not out.exists()
+
+
+def test_solve_refuses_constraint(tmp_path, capsys):
+    doc = fixture_doc("solve_quadratic", constraint={"g": "v", "ell": 1.0})
+    out = tmp_path / "out"
+    rc = main(["run", write_problem(tmp_path / "p.json", doc), "--out", str(out), "--quiet"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "fracvar: invalid problem file: task solve: does not take 'constraint'\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stem", ["functional_zero", "limit_sweep_classical"])
+def test_constraint_still_accepted(tmp_path, stem):
+    doc = fixture_doc(stem, constraint={"g": "v", "ell": 1.0})
+    out = tmp_path / "out"
+    rc = main(["run", write_problem(tmp_path / "p.json", doc), "--out", str(out), "--quiet"])
+    assert rc == 0
+    assert read_summary(out)["config"]["constraint"] == {"g": "v", "ell": 1.0}
