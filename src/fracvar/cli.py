@@ -634,8 +634,7 @@ def main(argv: list[str] | None = None) -> int:
 
     t0 = time.perf_counter()
     try:
-        runner = _TASKS[cfg["task"]][0]
-        result, code = runner(cfg, out_dir)
+        result, code = _TASKS[cfg["task"]][0](cfg, out_dir)
     except ProblemFileError as exc:
         print(f"fracvar: invalid problem file: {exc}", file=sys.stderr)
         return 2

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fracvar.cli import ProblemFileError, resolve
+from fracvar.cli import _TASKS, ProblemFileError, resolve
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -17,23 +17,26 @@ def block(lang, after):
     return match.group(1)
 
 
-def readme_tasks():
+def task_table():
+    """task -> (sections it needs, sections it refuses), from the README."""
     table = README[README.index("### Tasks and outputs"):]
-    return re.findall(r"^\| `([a-z-]+)` ", table, re.MULTILINE)
+    rows = re.findall(r"^\| `([a-z-]+)` +\|([^|]*)\|([^|]*)\|", table, re.MULTILINE)
+    return {task: (tuple(re.findall(r"`(\w+)`", needs)),
+                   tuple(re.findall(r"`(\w+)`", refuses)))
+            for task, needs, refuses in rows}
 
 
 def test_quick_tour_runs():
     exec(compile(block("python", "## Quick tour"), "README Quick tour", "exec"), {})
 
 
-def test_task_table_lists_every_task():
-    assert readme_tasks() == [
-        "eval-op", "functional", "el-residual", "solve", "solve-iso",
-        "certify-convex", "check-field", "limit-sweep",
-    ]
+def test_task_table_matches_cli():
+    assert task_table() == {
+        task: (requires, refuses) for task, (_, requires, refuses) in _TASKS.items()
+    }
 
 
-@pytest.mark.parametrize("task", readme_tasks())
+@pytest.mark.parametrize("task", list(task_table()))
 def test_schema_example_resolves(task):
     text = block("jsonc", "### Problem file schema")
     doc = json.loads(re.sub(r"//.*$", "", text, flags=re.MULTILINE))

@@ -18,7 +18,6 @@ any case differs at all.  Standard library only.
 
 from __future__ import annotations
 
-import copy
 import csv
 import json
 import math
@@ -82,7 +81,7 @@ def cases(work: Path) -> dict[str, tuple[Path, list[str]]]:
             if val is DROP:
                 doc.pop(key, None)
             else:
-                doc[key] = copy.deepcopy(val)
+                doc[key] = val
         path = work / f"{name}.json"
         path.write_text(json.dumps(doc))
         out[name] = (path, argv)
