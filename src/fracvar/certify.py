@@ -51,6 +51,16 @@ def _as_expr(L) -> Expr:
     return parse(L) if isinstance(L, str) else L
 
 
+def _lagrangian(L) -> Expr:
+    """L as an expression; a name other than x, u and v is an error, not a
+    point where L is undefined."""
+    L = _as_expr(L)
+    extra = free_vars(L) - {"x", "u", "v"}
+    if extra:
+        raise ValueError(f"L may use only x, u and v, found {sorted(extra)}")
+    return L
+
+
 def _check_box(box, n_axes: int, what: str):
     box = tuple(tuple(float(v) for v in pair) for pair in box)
     if len(box) != n_axes:
@@ -122,9 +132,9 @@ def check_convexity(L, box, samples_per_axis: int = 9) -> ConvexityReport:
     the box, and cross-checks the sampled (u, v) Hessian for positive
     semidefiniteness.  Convex means both passed at every conclusive point;
     points where the expression is undefined are recorded as inconclusive,
-    not as violations.
+    not as violations.  L may use only x, u and v (ValueError otherwise).
     """
-    L = _as_expr(L)
+    L = _lagrangian(L)
     box = _check_box(box, 3, "box")
     s = int(samples_per_axis)
     if s < 3:
@@ -274,9 +284,10 @@ def check_field(L, field: ExactField, grid_2d=21) -> FieldReport:
 
     grid_2d is the sample count per axis (int or (nx, ny) pair).  Passes
     when the larger identity residual stays within 1e-8 at every
-    conclusive sample point.
+    conclusive sample point.  L may use only x, u and v (ValueError
+    otherwise).
     """
-    L = _as_expr(L)
+    L = _lagrangian(L)
     if isinstance(grid_2d, int):
         nx = ny = grid_2d
     else:

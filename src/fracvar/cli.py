@@ -7,10 +7,13 @@ Exit codes: 0 success, 2 invalid problem file, 3 numerical failure,
 4 non-convergence.  summary.json is byte-stable across runs except for
 its "timings" entry; "summary_hash" is computed with timings removed.
 
-_TASKS declares each task once: its runner and the problem-file sections
-it requires or refuses.  Tasks that write the same files share a runner:
-functional and el-residual evaluate a candidate, solve and solve-iso run
-a solver.  The operator kinds are the keys of _OPERATORS.
+_SECTIONS declares the problem-file schema once: each section's keys in
+validation order, each with its check and its default or _REQUIRED;
+resolve walks it.  _TASKS declares each task once: its runner and the
+problem-file sections it requires or refuses.  Tasks that write the same
+files share a runner: functional and el-residual evaluate a candidate,
+solve and solve-iso run a solver.  The operator kinds are the keys of
+_OPERATORS.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .certify import ExactField, check_convexity, check_field, verify_field_minimizer
-from .expressions import ExprDomainError, ExprError, _evaluate_array, parse
+from .expressions import Expr, ExprDomainError, ExprError, _evaluate_array, _rename, parse
 from .grids import Grid, weighted_norm
 from .operators import (
     build_left_rlfd,
@@ -60,16 +63,11 @@ class ProblemFileError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# validation
+# validation: a check takes (value, where, cfg), cfg holding the keys
+# resolved before it, and returns the value to echo
 
 
-def _need(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ProblemFileError(f"{where}: missing required key '{key}'")
-    return obj[key]
-
-
-def _only(obj, where: str, allowed: tuple[str, ...]) -> None:
+def _only(obj, where: str, allowed) -> None:
     if not isinstance(obj, dict):
         raise ProblemFileError(f"{where}: expected an object")
     unknown = set(obj) - set(allowed)
@@ -79,20 +77,38 @@ def _only(obj, where: str, allowed: tuple[str, ...]) -> None:
         )
 
 
-def _number(val, where: str) -> float:
+def _number(val, where: str, cfg=None) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ProblemFileError(f"{where}: expected a number, got {val!r}")
     return float(val)
 
 
-def _integer(val, where: str, lo: int = 1) -> int:
+def _positive(val, where: str, cfg=None) -> float:
+    v = _number(val, where)
+    if not v > 0:
+        raise ProblemFileError(f"{where}: must be positive, got {v}")
+    return v
+
+
+def _right_end(val, where: str, cfg: dict) -> float:
+    a, b = cfg["interval"]["a"], _number(val, where)
+    if not b > a:
+        raise ProblemFileError(f"interval: requires b > a, got a={a}, b={b}")
+    return b
+
+
+def _integer(val, where: str, cfg=None, lo: int = 1) -> int:
     if isinstance(val, bool) or not isinstance(val, int) or val < lo:
         what = "a positive integer" if lo == 1 else f"an integer >= {lo}"
         raise ProblemFileError(f"{where}: expected {what}, got {val!r}")
     return val
 
 
-def _order_value(val, where: str) -> float:
+def _samples_per_axis(val, where: str, cfg=None) -> int:
+    return _integer(val, where, lo=3)
+
+
+def _order_value(val, where: str, cfg=None) -> float:
     v = _number(val, where)
     if not 0.0 < v < 1.0:
         raise ProblemFileError(
@@ -101,7 +117,7 @@ def _order_value(val, where: str) -> float:
     return v
 
 
-def _order_list(val, where: str) -> list[float]:
+def _order_list(val, where: str, cfg=None) -> list[float]:
     if isinstance(val, list):
         if not val:
             raise ProblemFileError(f"{where}: order list must not be empty")
@@ -109,7 +125,13 @@ def _order_list(val, where: str) -> list[float]:
     return [_order_value(val, where)]
 
 
-def _expr_str(val, where: str) -> str:
+def _sweep_orders(val, where: str, cfg=None) -> list[float]:
+    if not isinstance(val, list) or not val:
+        raise ProblemFileError(f"{where}: expected a non-empty list of orders")
+    return [_order_value(v, f"{where}[{i}]") for i, v in enumerate(val)]
+
+
+def _expr_str(val, where: str, cfg=None) -> str:
     if not isinstance(val, str):
         raise ProblemFileError(f"{where}: expected an expression string")
     try:
@@ -119,204 +141,68 @@ def _expr_str(val, where: str) -> str:
     return val
 
 
-def _pin_value(val, where: str):
-    if val is None:
+def _candidates(val, where: str, cfg: dict) -> list[str]:
+    items = val if isinstance(val, list) else [val]
+    if len(items) != cfg["unknowns"]:
+        raise ProblemFileError(
+            f"{where}: expected {cfg['unknowns']} expression(s), got {len(items)}"
+        )
+    return [_expr_str(item, f"{where}[{i}]") for i, item in enumerate(items)]
+
+
+def _one_of(choices: dict):
+    """The check of a name that is a key of choices."""
+    def check(val, where: str, cfg=None) -> str:
+        if not isinstance(val, str) or val not in choices:
+            noun = where.rpartition(".")[2]
+            raise ProblemFileError(
+                f"{where}: unknown {noun} {val!r}; expected one of {list(choices)}"
+            )
+        return val
+    return check
+
+
+def _pins_spec(obj, where: str, cfg: dict) -> list[dict] | None:
+    """One {"left", "right"} pin object per unknown; null means no pins."""
+    if obj is None:
         return None
-    return _number(val, where)
-
-
-def _pins_spec(obj, unknowns: int) -> list[dict]:
-    """One {"left", "right"} pin object per unknown."""
+    unknowns = cfg["unknowns"]
     items = obj if isinstance(obj, list) else [obj]
     if len(items) != unknowns and isinstance(obj, list):
         raise ProblemFileError(
-            f"pins: expected {unknowns} entries, got {len(items)}"
+            f"{where}: expected {unknowns} entries, got {len(items)}"
         )
     pins = []
     for i, item in enumerate(items):
-        where = f"pins[{i}]" if isinstance(obj, list) else "pins"
-        _only(item, where, ("left", "right"))
-        pins.append({side: _pin_value(item.get(side), f"{where}.{side}")
+        at = f"{where}[{i}]" if isinstance(obj, list) else where
+        _only(item, at, ("left", "right"))
+        pins.append({side: None if item.get(side) is None
+                     else _number(item[side], f"{at}.{side}")
                      for side in ("left", "right")})
     return pins if len(pins) == unknowns else [dict(pins[0]) for _ in range(unknowns)]
 
 
-def _box_spec(val, n_axes: int, where: str):
-    if not isinstance(val, list) or len(val) != n_axes:
-        raise ProblemFileError(f"{where}: expected {n_axes} [lo, hi] pairs")
-    out = []
-    for i, pair in enumerate(val):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ProblemFileError(f"{where}[{i}]: expected [lo, hi]")
-        lo = _number(pair[0], f"{where}[{i}][0]")
-        hi = _number(pair[1], f"{where}[{i}][1]")
-        if not lo < hi:
-            raise ProblemFileError(f"{where}[{i}]: requires lo < hi, got [{lo}, {hi}]")
-        out.append((lo, hi))
-    return tuple(out)
+def _box(n_axes: int):
+    """The check of a list of n_axes [lo, hi] pairs."""
+    def check(val, where: str, cfg=None) -> list[list[float]]:
+        if not isinstance(val, list) or len(val) != n_axes:
+            raise ProblemFileError(f"{where}: expected {n_axes} [lo, hi] pairs")
+        out = []
+        for i, pair in enumerate(val):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ProblemFileError(f"{where}[{i}]: expected [lo, hi]")
+            lo = _number(pair[0], f"{where}[{i}][0]")
+            hi = _number(pair[1], f"{where}[{i}][1]")
+            if not lo < hi:
+                raise ProblemFileError(f"{where}[{i}]: requires lo < hi, got [{lo}, {hi}]")
+            out.append([lo, hi])
+        return out
+    return check
 
 
-_TOP_KEYS = (
-    "interval",
-    "orders",
-    "unknowns",
-    "lagrangian",
-    "constraint",
-    "field",
-    "grid",
-    "solver",
-    "pins",
-    "task",
-    "candidate",
-    "operator",
-    "sweep",
-    "certify",
-)
-
-
-def resolve(doc: dict, n_cells_override: int | None = None) -> dict:
-    """Validate the problem document and fill every default.
-
-    The returned dict is the effective configuration echoed into
-    summary.json; feeding it back through this function reproduces the
-    same run.  Each section enters it as soon as it is validated.
-    """
-    _only(doc, "problem", _TOP_KEYS)
-    cfg = {}
-
-    interval = _need(doc, "interval", "problem")
-    _only(interval, "interval", ("a", "b"))
-    a = _number(_need(interval, "a", "interval"), "interval.a")
-    b = _number(_need(interval, "b", "interval"), "interval.b")
-    if not b > a:
-        raise ProblemFileError(f"interval: requires b > a, got a={a}, b={b}")
-    cfg["interval"] = {"a": a, "b": b}
-
-    orders = _need(doc, "orders", "problem")
-    _only(orders, "orders", ("alpha", "beta"))
-    cfg["orders"] = {
-        "alpha": _order_list(_need(orders, "alpha", "orders"), "orders.alpha"),
-        "beta": _order_list(_need(orders, "beta", "orders"), "orders.beta"),
-    }
-
-    unknowns = cfg["unknowns"] = _integer(doc.get("unknowns", 1), "unknowns")
-
-    cfg["lagrangian"] = _expr_str(_need(doc, "lagrangian", "problem"), "lagrangian")
-
-    if "constraint" in doc:
-        cobj = doc["constraint"]
-        _only(cobj, "constraint", ("g", "ell"))
-        cfg["constraint"] = {
-            "g": _expr_str(_need(cobj, "g", "constraint"), "constraint.g"),
-            "ell": _number(_need(cobj, "ell", "constraint"), "constraint.ell"),
-        }
-
-    if "field" in doc:
-        fobj = doc["field"]
-        _only(fobj, "field", ("phi", "s", "box"))
-        fbox = (
-            _box_spec(fobj["box"], 2, "field.box")
-            if "box" in fobj
-            else ((a, b), (0.0, 1.0))
-        )
-        cfg["field"] = {
-            "phi": _expr_str(_need(fobj, "phi", "field"), "field.phi"),
-            "s": _expr_str(_need(fobj, "s", "field"), "field.s"),
-            "box": [list(p) for p in fbox],
-        }
-
-    gobj = _need(doc, "grid", "problem")
-    _only(gobj, "grid", ("n_cells",))
-    n_cells = _integer(_need(gobj, "n_cells", "grid"), "grid.n_cells")
-    if n_cells_override is not None:
-        n_cells = _integer(n_cells_override, "--n-cells")
-    cfg["grid"] = {"n_cells": n_cells}
-
-    sobj = doc.get("solver", {})
-    _only(sobj, "solver", ("max_iters", "grad_tol", "step_init"))
-    defaults = SolveConfig()
-    solver = cfg["solver"] = {
-        "max_iters": sobj.get("max_iters", defaults.max_iters),
-        "grad_tol": sobj.get("grad_tol", defaults.grad_tol),
-        "step_init": sobj.get("step_init", defaults.step_init),
-    }
-    _integer(solver["max_iters"], "solver.max_iters")
-    for key in ("grad_tol", "step_init"):
-        v = _number(solver[key], f"solver.{key}")
-        if not v > 0:
-            raise ProblemFileError(f"solver.{key}: must be positive, got {v}")
-        solver[key] = v
-
-    if doc.get("pins") is not None:
-        cfg["pins"] = _pins_spec(doc["pins"], unknowns)
-
-    task = cfg["task"] = _need(doc, "task", "problem")
-    if task not in _TASKS:
-        raise ProblemFileError(
-            f"task: unknown task {task!r}; expected one of {list(_TASKS)}"
-        )
-
-    if "candidate" in doc:
-        cval = doc["candidate"]
-        items = cval if isinstance(cval, list) else [cval]
-        if len(items) != unknowns:
-            raise ProblemFileError(
-                f"candidate: expected {unknowns} expression(s), got {len(items)}"
-            )
-        cfg["candidate"] = [
-            _expr_str(item, f"candidate[{i}]") for i, item in enumerate(items)
-        ]
-
-    if "operator" in doc:
-        oobj = doc["operator"]
-        _only(oobj, "operator", ("kind", "order"))
-        kind = _need(oobj, "kind", "operator")
-        if kind not in _OPERATORS:
-            raise ProblemFileError(
-                f"operator.kind: unknown kind {kind!r}; expected one of {list(_OPERATORS)}"
-            )
-        cfg["operator"] = {
-            "kind": kind,
-            "order": _order_value(_need(oobj, "order", "operator"), "operator.order"),
-        }
-
-    if "sweep" in doc:
-        swobj = doc["sweep"]
-        _only(swobj, "sweep", ("orders", "classical"))
-        sw_orders = _need(swobj, "orders", "sweep")
-        if not isinstance(sw_orders, list) or not sw_orders:
-            raise ProblemFileError("sweep.orders: expected a non-empty list of orders")
-        cfg["sweep"] = {
-            "orders": [
-                _order_value(v, f"sweep.orders[{i}]") for i, v in enumerate(sw_orders)
-            ],
-            "classical": _expr_str(
-                _need(swobj, "classical", "sweep"), "sweep.classical"
-            ),
-        }
-
-    # validated for every task, echoed only by the task that reads it
-    certify = {"box": [[a, b], [-1.0, 1.0], [-1.0, 1.0]], "samples_per_axis": 9}
-    if "certify" in doc:
-        cvobj = doc["certify"]
-        _only(cvobj, "certify", ("box", "samples_per_axis"))
-        if "box" in cvobj:
-            certify["box"] = [list(p) for p in _box_spec(cvobj["box"], 3, "certify.box")]
-        if "samples_per_axis" in cvobj:
-            certify["samples_per_axis"] = _integer(
-                cvobj["samples_per_axis"], "certify.samples_per_axis", lo=3
-            )
-    if task == "certify-convex":
-        cfg["certify"] = certify
-
-    _, requires, refuses = _TASKS[task]
-    if any(key not in cfg for key in requires):
-        listed = " and ".join(f"'{key}'" for key in requires)
-        raise ProblemFileError(f"task {task}: requires {listed}")
-    for key in refuses:
-        if key in cfg:
-            raise ProblemFileError(f"task {task}: does not take '{key}'")
-    return cfg
+def _interval_box(*ranges):
+    """The default of a box: the interval, then ranges."""
+    return lambda cfg: [[cfg["interval"]["a"], cfg["interval"]["b"]], *ranges]
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +241,27 @@ def _build_grid(cfg: dict) -> Grid:
     return Grid(cfg["interval"]["a"], cfg["interval"]["b"], cfg["grid"]["n_cells"])
 
 
+def _on_grid(text: str, grid: Grid, **env) -> np.ndarray:
+    """The expression text at the grid nodes x, with env bound as well."""
+    return _evaluate_array(parse(text), {"x": grid.nodes, **env}, grid.n_nodes)
+
+
 def _candidate_samples(cfg: dict, problem: VarProblem, grid: Grid) -> np.ndarray:
     if "candidate" not in cfg:
         return _solver_start(problem, grid, None)
-    env = {"x": grid.nodes}
-    rows = [_evaluate_array(parse(text), env, grid.n_nodes) for text in cfg["candidate"]]
-    return np.array(rows)
+    return np.array([_on_grid(text, grid) for text in cfg["candidate"]])
+
+
+def _one_channel(cfg: dict) -> tuple[VarProblem, Expr]:
+    """The problem of a certify task and its L(x, u, v), u1 and v1 renamed
+    u and v; these tasks take one unknown and one order on each side."""
+    alphas, betas = cfg["orders"]["alpha"], cfg["orders"]["beta"]
+    if cfg["unknowns"] != 1 or len(alphas) != 1 or len(betas) != 1:
+        raise ProblemFileError(
+            f"task {cfg['task']}: requires one unknown and one order on each side"
+        )
+    problem = _build_problem(cfg)
+    return problem, _rename(problem.lagrangian, {"u1": "u", "v1": "v"})
 
 
 def _report_samples(report) -> np.ndarray:
@@ -407,7 +308,7 @@ def _nodes_table(
 def _run_eval_op(cfg: dict, out_dir: Path):
     grid = _build_grid(cfg)
     op = _OPERATORS[cfg["operator"]["kind"]](grid, cfg["operator"]["order"])
-    f_vals = _evaluate_array(parse(cfg["candidate"][0]), {"x": grid.nodes}, grid.n_nodes)
+    f_vals = _on_grid(cfg["candidate"][0], grid)
     result = op.apply(f_vals)
     _write_csv(out_dir / "nodes.csv", ["x", "f", "result"],
                zip(grid.nodes, f_vals, result))
@@ -462,11 +363,8 @@ def _run_solve(cfg: dict, out_dir: Path):
 
 
 def _run_certify_convex(cfg: dict, out_dir: Path):
-    report = check_convexity(
-        cfg["lagrangian"],
-        cfg["certify"]["box"],
-        cfg["certify"]["samples_per_axis"],
-    )
+    _, L = _one_channel(cfg)
+    report = check_convexity(L, cfg["certify"]["box"], cfg["certify"]["samples_per_axis"])
     summary = {
         "convex": report.convex,
         "box": [list(p) for p in report.box],
@@ -479,21 +377,22 @@ def _run_certify_convex(cfg: dict, out_dir: Path):
 
 
 def _run_check_field(cfg: dict, out_dir: Path):
-    problem = _build_problem(cfg)
+    problem, L = _one_channel(cfg)
+    if cfg["orders"]["alpha"] != cfg["orders"]["beta"]:
+        raise ProblemFileError(
+            f"task check-field: requires alpha = beta, got {cfg['orders']['alpha'][0]}"
+            f" and {cfg['orders']['beta'][0]}"
+        )
     grid = _build_grid(cfg)
-    field = ExactField(
-        phi=cfg["field"]["phi"],
-        s_fn=cfg["field"]["s"],
-        box=tuple(tuple(p) for p in cfg["field"]["box"]),
-    )
-    id_report = check_field(cfg["lagrangian"], field)
+    field = ExactField(phi=cfg["field"]["phi"], s_fn=cfg["field"]["s"], box=cfg["field"]["box"])
+    id_report = check_field(L, field)
     summary = {
         "identities_pass": id_report.passed,
         "max_residual_slope": id_report.max_residual_slope,
         "max_residual_momentum": id_report.max_residual_momentum,
     }
     Y = _candidate_samples(cfg, problem, grid)
-    traj = verify_field_minimizer(cfg["lagrangian"], field, Y[0], problem.alphas[0], grid)
+    traj = verify_field_minimizer(L, field, Y[0], problem.alphas[0], grid)
     summary.update(
         {
             "trajectory": traj.trajectory,
@@ -507,9 +406,7 @@ def _run_check_field(cfg: dict, out_dir: Path):
     )
     dp = assemble(problem, grid)
     u, v = dp.channels(Y)
-    phi_vals = _evaluate_array(
-        parse(cfg["field"]["phi"]), {"x": grid.nodes, "y": u[0]}, grid.n_nodes
-    )
+    phi_vals = _on_grid(cfg["field"]["phi"], grid, y=u[0])
     _write_csv(
         out_dir / "nodes.csv",
         ["x", "y", "I_y", "D_y", "phi", "eq_residual"],
@@ -520,9 +417,7 @@ def _run_check_field(cfg: dict, out_dir: Path):
 
 def _run_limit_sweep(cfg: dict, out_dir: Path):
     grid = _build_grid(cfg)
-    classical = _evaluate_array(
-        parse(cfg["sweep"]["classical"]), {"x": grid.nodes}, grid.n_nodes
-    )
+    classical = _on_grid(cfg["sweep"]["classical"], grid)
     rows = []
     any_ok = False
     for order in cfg["sweep"]["orders"]:
@@ -562,32 +457,116 @@ _TASKS = {
 
 
 # ---------------------------------------------------------------------------
+# problem-file schema
+
+_REQUIRED = object()  # the default of a key that must be given
+
+# Every top-level key of a problem file, in validation order: key ->
+# (check, default).  A section's check is the same kind of table for its
+# own keys.  An absent key is an error when its default is _REQUIRED and
+# is left out when it is None; any other default (called with cfg when it
+# is callable) goes through the check.  A check that returns None leaves
+# its key out, so "pins": null means no pins.
+_SECTIONS = {
+    "interval": ({"a": (_number, _REQUIRED), "b": (_right_end, _REQUIRED)}, _REQUIRED),
+    "orders": ({"alpha": (_order_list, _REQUIRED),
+                "beta": (_order_list, _REQUIRED)}, _REQUIRED),
+    "unknowns": (_integer, 1),
+    "lagrangian": (_expr_str, _REQUIRED),
+    "constraint": ({"g": (_expr_str, _REQUIRED), "ell": (_number, _REQUIRED)}, None),
+    "field": ({"box": (_box(2), _interval_box([0.0, 1.0])),
+               "phi": (_expr_str, _REQUIRED),
+               "s": (_expr_str, _REQUIRED)}, None),
+    "grid": ({"n_cells": (_integer, _REQUIRED)}, _REQUIRED),
+    "solver": ({"max_iters": (_integer, SolveConfig.max_iters),
+                "grad_tol": (_positive, SolveConfig.grad_tol),
+                "step_init": (_positive, SolveConfig.step_init)}, {}),
+    "pins": (_pins_spec, None),
+    "task": (_one_of(_TASKS), _REQUIRED),
+    "candidate": (_candidates, None),
+    "operator": ({"kind": (_one_of(_OPERATORS), _REQUIRED),
+                  "order": (_order_value, _REQUIRED)}, None),
+    "sweep": ({"orders": (_sweep_orders, _REQUIRED),
+               "classical": (_expr_str, _REQUIRED)}, None),
+    # validated for every task, echoed only by certify-convex
+    "certify": ({"box": (_box(3), _interval_box([-1.0, 1.0], [-1.0, 1.0])),
+                 "samples_per_axis": (_samples_per_axis, 9)}, {}),
+}
+
+
+def _take(obj: dict, where: str, key: str, spec: tuple, out: dict, cfg: dict) -> None:
+    """Check obj[key], or its default, by spec = (check, default) into
+    out[key]; see _SECTIONS."""
+    check, default = spec
+    path = key if where == "problem" else f"{where}.{key}"
+    if key in obj:
+        val = obj[key]
+    elif default is _REQUIRED:
+        raise ProblemFileError(f"{where}: missing required key '{key}'")
+    elif default is None:
+        return
+    else:
+        val = default(cfg) if callable(default) else default
+    if isinstance(check, dict):
+        _only(val, path, check)
+        out[key] = {}
+        for sub_key, sub_spec in check.items():
+            _take(val, path, sub_key, sub_spec, out[key], cfg)
+        return
+    val = check(val, path, cfg)
+    if val is not None:
+        out[key] = val
+
+
+def resolve(doc: dict, n_cells_override: int | None = None) -> dict:
+    """Validate the problem document and fill every default.
+
+    The returned dict is the effective configuration echoed into
+    summary.json; feeding it back through this function reproduces the
+    same run.
+    """
+    _only(doc, "problem", _SECTIONS)
+    cfg = {}
+    for key, spec in _SECTIONS.items():
+        _take(doc, "problem", key, spec, cfg, cfg)
+        if key == "grid" and n_cells_override is not None:
+            cfg["grid"]["n_cells"] = _integer(n_cells_override, "--n-cells")
+    task = cfg["task"]
+    if task != "certify-convex":
+        del cfg["certify"]
+    _, requires, refuses = _TASKS[task]
+    if any(key not in cfg for key in requires):
+        listed = " and ".join(f"'{key}'" for key in requires)
+        raise ProblemFileError(f"task {task}: requires {listed}")
+    for key in refuses:
+        if key in cfg:
+            raise ProblemFileError(f"task {task}: does not take '{key}'")
+    return cfg
+
+
+# ---------------------------------------------------------------------------
 # summary plumbing
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _json_default(obj):
+    """numpy integers and bools for json; numpy floats are floats already."""
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
     if isinstance(obj, np.bool_):
         return bool(obj)
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _write_summary(out_dir: Path, payload: dict, timings: dict) -> None:
-    payload = _jsonable(payload)
-    digest = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()
-    ).hexdigest()
-    payload["summary_hash"] = digest
-    payload["timings"] = _jsonable(timings)
+def _write_summary(out_dir: Path, cfg: dict, raw: bytes, result: dict, t0: float) -> None:
+    """summary.json: the task, its config, the input's hash and the result;
+    summary_hash covers everything but the "timings" entry."""
+    timings = {"total_s": round(time.perf_counter() - t0, 6)}
+    payload = {"task": cfg["task"], "config": cfg,
+               "input_sha256": hashlib.sha256(raw).hexdigest(), **result}
+    text = json.dumps(payload, sort_keys=True, default=_json_default)
+    payload.update(summary_hash=hashlib.sha256(text.encode()).hexdigest(), timings=timings)
     with open(out_dir / "summary.json", "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
         fh.write("\n")
 
 
@@ -640,22 +619,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ArithmeticError, ExprDomainError) as exc:
         print(f"fracvar: numerical failure: {exc}", file=sys.stderr)
-        _write_summary(
-            out_dir,
-            {"task": cfg["task"], "config": cfg, "error": str(exc),
-             "input_sha256": hashlib.sha256(raw).hexdigest()},
-            {"total_s": round(time.perf_counter() - t0, 6)},
-        )
+        _write_summary(out_dir, cfg, raw, {"error": str(exc)}, t0)
         return 3
-    elapsed = time.perf_counter() - t0
-
-    payload = {
-        "task": cfg["task"],
-        "config": cfg,
-        "input_sha256": hashlib.sha256(raw).hexdigest(),
-    }
-    payload.update(result)
-    _write_summary(out_dir, payload, {"total_s": round(elapsed, 6)})
+    _write_summary(out_dir, cfg, raw, result, t0)
 
     if not args.quiet:
         keys = [k for k in ("J", "residual_norm", "lambda", "converged", "convex",

@@ -36,6 +36,14 @@ def test_concave_quadratic_with_counterexample():
     assert gap == pytest.approx(ce.violation, abs=1e-9)
 
 
+@pytest.mark.parametrize("L", ["-(v1^2)", "-(w^2)"])
+def test_unknown_name_is_an_error_not_inconclusive(L):
+    with pytest.raises(ValueError, match=r"L may use only x, u and v, found \['(v1|w)'\]"):
+        check_convexity(L, BOX)
+    with pytest.raises(ValueError, match="L may use only x, u and v"):
+        check_field(L, ExactField(phi="1", s_fn="y - x/2", box=UNIT))
+
+
 def test_convex_cross_term():
     # Hessian [[2,1],[1,2]] has eigenvalues 1 and 3
     assert check_convexity("u^2 + u*v + v^2", BOX).convex

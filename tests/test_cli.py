@@ -450,3 +450,82 @@ def test_constraint_still_accepted(tmp_path, stem):
     rc = main(["run", write_problem(tmp_path / "p.json", doc), "--out", str(out), "--quiet"])
     assert rc == 0
     assert read_summary(out)["config"]["constraint"] == {"g": "v", "ell": 1.0}
+
+
+# -- names and shapes --------------------------------------------------------
+
+BAD_NAMES = [
+    ({"task": []}, "task: unknown task []; expected one of"),
+    ({"task": {}}, "task: unknown task {}; expected one of"),
+    ({"operator": {"kind": ["left-rlfi"], "order": 0.5}},
+     "operator.kind: unknown kind ['left-rlfi']; expected one of"),
+]
+
+
+@pytest.mark.parametrize("edit, message", BAD_NAMES, ids=["task-list", "task-object", "kind-list"])
+def test_task_and_kind_must_be_strings(tmp_path, capsys, edit, message):
+    doc = fixture_doc("evalop_rlfi", **edit)
+    out = tmp_path / "out"
+    rc = main(["run", write_problem(tmp_path / "p.json", doc), "--out", str(out), "--quiet"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"fracvar: invalid problem file: {message}")
+    assert not out.exists()
+
+
+def run_fixture(tmp_path, stem, **edits):
+    """(exit code, summary or None) of one fixture run with edits."""
+    tmp_path.mkdir(exist_ok=True)
+    out = tmp_path / stem
+    doc = fixture_doc(stem, **edits)
+    rc = main(["run", write_problem(tmp_path / f"{stem}.json", doc),
+               "--out", str(out), "--quiet"])
+    summary = read_summary(out) if (out / "summary.json").exists() else None
+    return rc, summary
+
+
+def test_certify_convex_reads_indexed_names(tmp_path):
+    rc, summary = run_fixture(tmp_path, "certify_convex_mixed", lagrangian="-(v1^2)")
+    assert rc == 0
+    assert summary["convex"] is False
+    assert summary["inconclusive_points"] == 0
+    _, alias = run_fixture(tmp_path / "alias", "certify_convex_mixed", lagrangian="-(v^2)")
+    assert summary["counterexample"] == alias["counterexample"]
+
+
+def test_check_field_reads_indexed_names(tmp_path):
+    rc, summary = run_fixture(tmp_path, "check_field_halfx", lagrangian="v1^2/2")
+    assert rc == 0
+    _, alias = run_fixture(tmp_path / "alias", "check_field_halfx")
+    drop = ("config", "input_sha256", "summary_hash", "timings")
+    assert {k: v for k, v in summary.items() if k not in drop} == {
+        k: v for k, v in alias.items() if k not in drop}
+    assert summary["identities_pass"] and summary["trajectory"]
+
+
+ONE_CHANNEL = "requires one unknown and one order on each side"
+SHAPES_REFUSED = [
+    ("certify_convex_mixed", {"unknowns": 2, "lagrangian": "v1^2 + v2^2"},
+     f"task certify-convex: {ONE_CHANNEL}"),
+    ("certify_convex_mixed", {"orders": {"alpha": [0.3, 0.5], "beta": 0.5}},
+     f"task certify-convex: {ONE_CHANNEL}"),
+    ("certify_convex_mixed", {"lagrangian": "-(w^2)"},
+     "problem: lagrangian uses undeclared variable(s) ['w']"),
+    ("check_field_halfx", {"unknowns": 2, "lagrangian": "v1^2/2",
+                           "candidate": ["sqrt(x)", "sqrt(x)"]},
+     f"task check-field: {ONE_CHANNEL}"),
+    ("check_field_halfx", {"unknowns": 2, "lagrangian": "v1^2/2 + v2^2/2",
+                           "candidate": ["sqrt(x)", "sqrt(x)"]},
+     f"task check-field: {ONE_CHANNEL}"),
+    ("check_field_halfx", {"orders": {"alpha": 0.5, "beta": 0.3}},
+     "task check-field: requires alpha = beta, got 0.5 and 0.3"),
+]
+
+
+@pytest.mark.parametrize("stem, edits, message", SHAPES_REFUSED, ids=[
+    "convex-two-unknowns", "convex-two-alphas", "convex-unknown-name",
+    "field-two-unknowns", "field-two-unknowns-both-used", "field-alpha-not-beta"])
+def test_certify_tasks_refuse_other_shapes(tmp_path, capsys, stem, edits, message):
+    rc, summary = run_fixture(tmp_path, stem, **edits)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"fracvar: invalid problem file: {message}")
+    assert summary is None

@@ -317,6 +317,22 @@ def test_iso_residual_of_augmented_problem(grid64):
     assert r.interior_norm() <= 10.0 * ISO_CFG.grad_tol
 
 
+def test_iso_nonlinear_constraint():
+    # minimize (v - 1)^2 subject to the integral of v^2 = 1/4: v = 1/2,
+    # J = 1/4, lam = 1.  The constraint's curvature adds lam * 2 to the
+    # v-v curvature of L.  The zero start is abnormal (grad C = 2v = 0).
+    grid = Grid(0.0, 1.0, 128)
+    p = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian="(v - 1)^2",
+                   constraint=Constraint("v^2", 0.25), pins=(0.0, None))
+    report = solve_isoperimetric(p, grid, y0=grid.nodes)
+    assert report.converged
+    assert report.lam == pytest.approx(1.0, abs=1e-10)
+    assert report.J == pytest.approx(0.25, abs=1e-10)
+    assert abs(report.constraint_gap) <= 1e-10
+    v = build_left_rlfd(grid, 0.5).apply(report.y.values)
+    assert np.max(np.abs(v[grid.interior()] - 0.5)) <= 1e-10
+
+
 def test_iso_abnormal_candidate_warns(grid64):
     # y = 0 is an extremal of the constraint functional here, so the
     # multiplier iteration cannot get a foothold

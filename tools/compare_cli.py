@@ -66,6 +66,16 @@ VARIANTS = {
     "certify-convex-constraint": (
         "certify_convex_mixed", {"constraint": {"g": "v", "ell": 1.0}}, []),
     "solve-constraint": ("solve_quadratic", {"constraint": {"g": "v", "ell": 1.0}}, []),
+    "task-list": ("solve_quadratic", {"task": []}, []),
+    "task-object": ("solve_quadratic", {"task": {}}, []),
+    "kind-list": ("evalop_rlfi", {"operator": {"kind": ["left-rlfi"], "order": 0.5}}, []),
+    "convex-indexed-violated": ("certify_convex_mixed", {"lagrangian": "-(v1^2)"}, []),
+    "check-field-indexed": ("check_field_halfx", {"lagrangian": "v1^2/2"}, []),
+    "check-field-two-unknowns": (
+        "check_field_halfx", {"unknowns": 2, "lagrangian": "v1^2/2",
+                              "candidate": ["sqrt(x)", "sqrt(x)"]}, []),
+    "check-field-alpha-not-beta": (
+        "check_field_halfx", {"orders": {"alpha": 0.5, "beta": 0.3}}, []),
 }
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
