@@ -235,15 +235,18 @@ def _hessian_counterexample(L, point, box) -> Counterexample:
     return Counterexample(x=x, u=u, v=v, du=du, dv=dv, violation=float(g))
 
 
-def excess(L, x: float, u: float, z: float, w: float) -> float:
-    """Weierstrass excess E = L(x,u,w) - L(x,u,z) - dL/dv(x,u,z)*(w-z)."""
+def excess(L, x, u, z, w):
+    """Weierstrass excess E = L(x,u,w) - L(x,u,z) - dL/dv(x,u,z)*(w-z).
+
+    A float for scalar arguments; for array arguments, the array of the
+    elementwise values.
+    """
     L = _as_expr(L)
     Lv = differentiate(L, "v")
     at_w = {"x": x, "u": u, "v": w}
     at_z = {"x": x, "u": u, "v": z}
-    return float(
-        evaluate(L, at_w) - evaluate(L, at_z) - evaluate(Lv, at_z) * (np.asarray(w) - z)
-    )
+    E = evaluate(L, at_w) - evaluate(L, at_z) - evaluate(Lv, at_z) * (np.asarray(w) - z)
+    return float(E) if np.ndim(E) == 0 else E
 
 
 @dataclass(frozen=True)
@@ -261,9 +264,6 @@ class ExactField:
             extra = free_vars(e) - {"x", "y"}
             if extra:
                 raise ValueError(f"{name} may use only x and y, found {sorted(extra)}")
-            # must be differentiable in both variables
-            differentiate(e, "x")
-            differentiate(e, "y")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "s_fn", s_fn)
         object.__setattr__(self, "box", _check_box(self.box, 2, "field box"))
@@ -347,17 +347,22 @@ def verify_field_minimizer(
     D^alpha y0 - phi(x, I^{1-alpha} y0) stays within 10 * h^min(alpha, 1-alpha)
     (the first-order endpoint layer of the derivative scheme sets the scale).
     The report also compares the functional value with the potential
-    difference and samples the excess along the trajectory.
+    difference and samples the excess along the trajectory.  L may use only
+    x, u and v (ValueError otherwise).
     """
+    return _field_trajectory(L, field, y0, alpha, grid)[0]
+
+
+def _field_trajectory(L, field: ExactField, y0, alpha, grid: Grid):
+    """verify_field_minimizer's report with the node samples it rests on:
+    (report, I^{1-alpha} y0, D^alpha y0, phi(x, I^{1-alpha} y0))."""
     from .problems import VarProblem, assemble, _normalize_samples
 
-    L = _as_expr(L)
+    L = _lagrangian(L)
     a_val = alpha.value if hasattr(alpha, "value") else float(alpha)
     p = VarProblem(grid.a, grid.b, alphas=(a_val,), betas=(a_val,), lagrangian=L)
     dp = assemble(p, grid)
-    Y = _normalize_samples(p, grid, y0)
-    u, v = dp.channels(Y)
-    u, v = u[0], v[0]
+    u, v = dp.channels(_normalize_samples(p, grid, y0))
     x = grid.nodes
     w = grid.quad_weights
     sl = grid.interior()
@@ -367,20 +372,13 @@ def verify_field_minimizer(
     residual_norm = float(np.sqrt(np.sum(w[sl] * e * e)))
     field_tol = 10.0 * grid.h ** min(a_val, 1.0 - a_val)
 
-    J = dp.functional_value(L, [u], [v])
+    J = dp.functional_value(L, [u, v])
     s_end = float(evaluate(field.s_fn, {"x": grid.b, "y": float(u[-1])}))
     s_start = float(evaluate(field.s_fn, {"x": grid.a, "y": float(u[0])}))
     field_value = s_end - s_start
 
-    Lv = differentiate(L, "v")
-    env_z = {"x": x[sl], "u": u[sl], "v": phi_vals[sl]}
-    env_w = {"x": x[sl], "u": u[sl], "v": v[sl]}
-    E = (
-        np.asarray(evaluate(L, env_w), dtype=float)
-        - np.asarray(evaluate(L, env_z), dtype=float)
-        - np.asarray(evaluate(Lv, env_z), dtype=float) * (v[sl] - phi_vals[sl])
-    )
-    return FieldTrajectoryReport(
+    E = excess(L, x[sl], u[sl], phi_vals[sl], v[sl])
+    report = FieldTrajectoryReport(
         trajectory=bool(residual_norm <= field_tol),
         residual_norm=residual_norm,
         field_tol=field_tol,
@@ -389,3 +387,4 @@ def verify_field_minimizer(
         gap=float(abs(J - field_value)),
         min_excess=float(np.min(E)) if E.size else 0.0,
     )
+    return report, u, v, phi_vals

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import ExactField, check_convexity, check_field, verify_field_minimizer
+from .certify import ExactField, check_convexity, check_field, _field_trajectory
 from .expressions import Expr, ExprDomainError, ExprError, _evaluate_array, _rename, parse
 from .grids import Grid, weighted_norm
 from .operators import (
@@ -241,9 +241,9 @@ def _build_grid(cfg: dict) -> Grid:
     return Grid(cfg["interval"]["a"], cfg["interval"]["b"], cfg["grid"]["n_cells"])
 
 
-def _on_grid(text: str, grid: Grid, **env) -> np.ndarray:
-    """The expression text at the grid nodes x, with env bound as well."""
-    return _evaluate_array(parse(text), {"x": grid.nodes, **env}, grid.n_nodes)
+def _on_grid(text: str, grid: Grid) -> np.ndarray:
+    """The expression text in x at the grid nodes."""
+    return _evaluate_array(parse(text), {"x": grid.nodes}, grid.n_nodes)
 
 
 def _candidate_samples(cfg: dict, problem: VarProblem, grid: Grid) -> np.ndarray:
@@ -277,24 +277,17 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _channel_columns(problem: VarProblem):
-    """(y names, u names, v names, residual names) for the nodes table."""
-    if problem.is_basic():
-        return ["y"], ["I_y"], ["D_y"], ["residual"]
-    ys = [f"y{k + 1}" for k in range(problem.n_unknowns)]
-    us = list(problem.u_names())
-    vs = list(problem.v_names())
-    rs = [f"r{k + 1}" for k in range(problem.n_unknowns)]
-    return ys, us, vs, rs
-
-
 def _nodes_table(
     out_dir: Path, dp: DiscreteProblem, Y: np.ndarray, residual: np.ndarray | None
 ) -> None:
-    u, v = dp.channels(Y)
-    ys, us, vs, rs = _channel_columns(dp.problem)
-    header = ["x"] + ys + us + vs
-    columns = [dp.grid.nodes] + list(Y) + u + v
+    """nodes.csv: x, the unknowns, their channels and the residual rows."""
+    if dp.problem.is_basic():
+        header, rs = ["x", "y", "I_y", "D_y"], ["residual"]
+    else:
+        unknowns = range(1, dp.problem.n_unknowns + 1)
+        header = ["x", *(f"y{k}" for k in unknowns), *dp.names]
+        rs = [f"r{k}" for k in unknowns]
+    columns = [dp.grid.nodes] + list(Y) + dp.channels(Y)
     if residual is not None:
         header += rs
         columns += list(np.atleast_2d(residual))
@@ -392,7 +385,7 @@ def _run_check_field(cfg: dict, out_dir: Path):
         "max_residual_momentum": id_report.max_residual_momentum,
     }
     Y = _candidate_samples(cfg, problem, grid)
-    traj = verify_field_minimizer(L, field, Y[0], problem.alphas[0], grid)
+    traj, u, v, phi_vals = _field_trajectory(L, field, Y[0], problem.alphas[0], grid)
     summary.update(
         {
             "trajectory": traj.trajectory,
@@ -404,13 +397,10 @@ def _run_check_field(cfg: dict, out_dir: Path):
             "min_excess": traj.min_excess,
         }
     )
-    dp = assemble(problem, grid)
-    u, v = dp.channels(Y)
-    phi_vals = _on_grid(cfg["field"]["phi"], grid, y=u[0])
     _write_csv(
         out_dir / "nodes.csv",
         ["x", "y", "I_y", "D_y", "phi", "eq_residual"],
-        zip(grid.nodes, Y[0], u[0], v[0], phi_vals, v[0] - phi_vals),
+        zip(grid.nodes, Y[0], u, v, phi_vals, v - phi_vals),
     )
     return summary, 0
 

@@ -15,6 +15,10 @@ When there is exactly one u (or v) channel, the bare name "u" (or "v") is
 an alias of "u1" (or "v1"); the two spellings name the same channel and may
 be mixed.  Every Lagrangian may also use "x".
 
+DiscreteProblem keeps the channels as one list in this order, the u
+channels and then the v channels.  The two kinds differ only in their
+operator and in the node-0 continuation of the v channels (below).
+
 Endpoint policy: the derivative channel's value at the first node is the
 raw scheme value h^-beta * y_0, which is meaningless when y(a) != 0 (the
 Riemann-Liouville derivative is unbounded at the left endpoint there) and
@@ -177,8 +181,13 @@ def _normalize_pins(pins, n_unknowns: int):
     if len(pins) != n_unknowns:
         raise ValueError(f"expected pins for {n_unknowns} unknowns, got {len(pins)}")
     out = []
-    for pair in pins:
-        left, right = pair
+    for i, pair in enumerate(pins):
+        try:
+            left, right = pair
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"pins[{i}]: expected a (left, right) pair, got {pair!r}"
+            ) from None
         out.append(
             (
                 None if left is None else float(left),
@@ -226,106 +235,85 @@ class DiscreteProblem:
 
     Exposes the channel maps (linear), the functional, the residual, the
     exact gradient and the exact Hessian; the solver drives everything
-    through this object.  operators = (I_ops, D_ops) reuses the left
-    operators of another DiscreteProblem on the same grid and orders.
+    through this object.  maps, names and partials hold one entry per
+    channel, in the order of the module docstring: the u channels, then
+    the v channels.  A map is (left operator, its quadrature adjoint,
+    unknown index, whether node 0 continues node 1).  Channel lists (from
+    channels; into env, functional_value and curvature) follow that order.
     """
 
-    def __init__(self, problem: VarProblem, grid: Grid, operators=None):
-        if not np.isclose(grid.a, problem.a) or not np.isclose(grid.b, problem.b):
+    def __init__(self, problem: VarProblem, grid: Grid):
+        # np.isclose's test, inline for speed; '< np.inf' keeps its no for inf
+        if not all(abs(g - p) <= 1e-8 + 1e-5 * abs(p) < np.inf
+                   for g, p in ((grid.a, problem.a), (grid.b, problem.b))):
             raise ValueError(
                 f"grid interval ({grid.a}, {grid.b}) does not match "
                 f"problem interval ({problem.a}, {problem.b})"
             )
         self.problem = problem
         self.grid = grid
-        K = problem.n_unknowns
-        if operators is None:
-            # integral channels carry the complementary order 1 - alpha
-            operators = (
-                tuple(build_left_rlfi(grid, 1.0 - a.value) for a in problem.alphas),
-                tuple(build_left_rlfd(grid, b.value) for b in problem.betas),
-            )
-        self.I_ops, self.D_ops = operators
-        self._RI_ops = tuple(build_right_adjoint(op) for op in self.I_ops)
-        self._RD_ops = tuple(build_right_adjoint(op) for op in self.D_ops)
-        self.u_names = problem.u_names()
-        self.v_names = problem.v_names()
-        # channel c = (i-1)*K + (k-1): order index and unknown index
-        self.u_channels = tuple(
-            (i, k) for i in range(len(problem.alphas)) for k in range(K)
-        )
-        self.v_channels = tuple(
-            (j, k) for j in range(len(problem.betas)) for k in range(K)
-        )
-        # the aliases u and v name channel 1, so L mixing both spellings
-        # differentiates by the indexed names alone
+        # integral channels carry the complementary order 1 - alpha; the
+        # derivative channels are continued at node 0
+        left = [(build_left_rlfi(grid, 1.0 - a.value), False) for a in problem.alphas]
+        left += [(build_left_rlfd(grid, b.value), True) for b in problem.betas]
+        maps = []
+        for op, continued in left:
+            adjoint = build_right_adjoint(op)
+            maps += [(op, adjoint, k, continued) for k in range(problem.n_unknowns)]
+        self.maps = tuple(maps)
+        self.names = problem.u_names() + problem.v_names()
+        # the aliases u and v name channel 1 of their kind, so L mixing both
+        # spellings differentiates by the indexed names alone
+        self._aliases = tuple(a for a in "uv" if a in problem.allowed_vars())
         L = _rename(problem.lagrangian, {"u": "u1", "v": "v1"})
-        self.dL_du = tuple(differentiate(L, name) for name in self.u_names)
-        self.dL_dv = tuple(differentiate(L, name) for name in self.v_names)
-
-    def with_lagrangian(self, lagrangian: Expr) -> "DiscreteProblem":
-        """The same problem and operators with another Lagrangian."""
-        other = dataclasses.replace(self.problem, lagrangian=lagrangian, constraint=None)
-        return DiscreteProblem(other, self.grid, (self.I_ops, self.D_ops))
+        self.partials = tuple(differentiate(L, name) for name in self.names)
 
     # -- channel maps ------------------------------------------------------
 
-    def channels(self, Y: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Integral and (endpoint-continued) derivative channels of Y."""
-        u = [self.I_ops[i].apply(Y[k]) for (i, k) in self.u_channels]
-        v = []
-        for (j, k) in self.v_channels:
-            vals = self.D_ops[j].apply(Y[k])
-            vals[0] = vals[1]
-            v.append(vals)
-        return u, v
+    def channels(self, Y: np.ndarray) -> list[np.ndarray]:
+        """The channels of Y: integral, then (endpoint-continued) derivative."""
+        out = []
+        for op, _, k, continued in self.maps:
+            vals = op.apply(Y[k])
+            if continued:
+                vals[0] = vals[1]
+            out.append(vals)
+        return out
 
-    def env(self, u: list[np.ndarray], v: list[np.ndarray]) -> dict:
-        e: dict = {"x": self.grid.nodes}
-        for name, vals in zip(self.u_names, u):
-            e[name] = vals
-        for name, vals in zip(self.v_names, v):
-            e[name] = vals
-        if self.problem.n_u_channels == 1:
-            e["u"] = u[0]
-        if self.problem.n_v_channels == 1:
-            e["v"] = v[0]
+    def env(self, c: list[np.ndarray]) -> dict:
+        e = {"x": self.grid.nodes, **dict(zip(self.names, c))}
+        for alias in self._aliases:
+            e[alias] = e[alias + "1"]
         return e
 
     # -- functional, residual, gradient ------------------------------------
 
-    def functional_value(self, expr: Expr, u, v) -> float:
-        vals = _evaluate_array(expr, self.env(u, v), self.grid.n_nodes)
+    def functional_value(self, expr: Expr, c: list[np.ndarray]) -> float:
+        vals = _evaluate_array(expr, self.env(c), self.grid.n_nodes)
         return float(self.grid.quad_weights @ vals)
 
     def functional(self, Y: np.ndarray) -> float:
-        u, v = self.channels(Y)
-        return self.functional_value(self.problem.lagrangian, u, v)
+        return self.functional_value(self.problem.lagrangian, self.channels(Y))
 
     def residual_values(self, Y: np.ndarray) -> np.ndarray:
-        u, v = self.channels(Y)
-        return self._residual_from(u, v)
+        return self._residual_from(self.channels(Y))
 
-    def _residual_from(self, u, v) -> np.ndarray:
-        env = self.env(u, v)
+    def _residual_from(self, c: list[np.ndarray]) -> np.ndarray:
+        env = self.env(c)
         n = self.grid.n_nodes
         w = self.grid.quad_weights
         g = np.zeros((self.problem.n_unknowns, n))
-        for c, (i, k) in enumerate(self.u_channels):
-            p_expr = self.dL_du[c]
+        for (_, adjoint, k, continued), p_expr in zip(self.maps, self.partials):
             if p_expr == Num(0.0):
                 continue
-            g[k] += self._RI_ops[i].apply(_evaluate_array(p_expr, env, n))
-        for c, (j, k) in enumerate(self.v_channels):
-            q_expr = self.dL_dv[c]
-            if q_expr == Num(0.0):
-                continue
-            # adjoint of the node-0 continuation under the quadrature inner
-            # product: node 0's weighted value moves onto node 1
-            q = _evaluate_array(q_expr, env, n).copy()
-            q[1] += q[0] * w[0] / w[1]
-            q[0] = 0.0
-            g[k] += self._RD_ops[j].apply(q)
+            p = _evaluate_array(p_expr, env, n)
+            if continued:
+                # adjoint of the node-0 continuation under the quadrature
+                # inner product: node 0's weighted value moves onto node 1
+                p = p.copy()
+                p[1] += p[0] * w[0] / w[1]
+                p[0] = 0.0
+            g[k] += adjoint.apply(p)
         return g
 
     def residual(self, Y: np.ndarray) -> Residual:
@@ -341,25 +329,23 @@ class DiscreteProblem:
 
     @cached_property
     def _second_partials(self) -> tuple[tuple[int, int, Expr], ...]:
-        # (a, b, d2L/da db) for a <= b over the u channels, then the v
-        # channels; identically zero partials are dropped
-        names = self.u_names + self.v_names
+        # (a, b, d2L/da db) for channels a <= b; identically zero partials
+        # are dropped
         out = []
-        for a, first in enumerate(self.dL_du + self.dL_dv):
-            for b in range(a, len(names)):
-                e = differentiate(first, names[b])
+        for a, first in enumerate(self.partials):
+            for b in range(a, len(self.names)):
+                e = differentiate(first, self.names[b])
                 if e != Num(0.0):
                     out.append((a, b, e))
         return tuple(out)
 
-    def curvature(self, u, v) -> dict[tuple[int, int], np.ndarray]:
+    def curvature(self, c: list[np.ndarray]) -> dict[tuple[int, int], np.ndarray]:
         """Node samples of the nonzero second partials of L.
 
-        Keyed by channel pair (a, b), a <= b, indexing the u channels first
-        and then the v channels.  Samples add linearly, so the curvature of
-        L + lam*g is the sum of the two dictionaries.
+        Keyed by channel pair (a, b), a <= b.  Samples add linearly, so the
+        curvature of L + lam*g is the sum of the two dictionaries.
         """
-        env = self.env(u, v)
+        env = self.env(c)
         n = self.grid.n_nodes
         return {(a, b): _evaluate_array(e, env, n) for a, b, e in self._second_partials}
 
@@ -370,25 +356,21 @@ class DiscreteProblem:
         columns follow the unknowns in order.  The dense tables
         (FracOperator.coeffs, built on first use and cached) of the channels
         that appear in curvature enter as views of their free columns; the
-        other channels' tables are never built.  The node-0 continuation of
-        the v channels is folded into the weights: row 0 of a continued v
-        channel repeats row 1, and row 0 of an integral table is zero.
+        other channels' tables are never built.  The node-0 continuation is
+        folded into the weights: row 0 of a continued channel repeats row 1,
+        and row 0 of an integral table is zero.
         """
         w = self.grid.quad_weights
-        ops = [(self.I_ops[i], k) for i, k in self.u_channels]
-        ops += [(self.D_ops[j], k) for j, k in self.v_channels]
-        tables = {c: (ops[c][0].coeffs, ops[c][1]) for pair in curvature for c in pair}
-        n_u = len(self.u_channels)
         offsets = np.cumsum([0] + [s.stop - s.start for s in free])
         blocks = [slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
         H = np.zeros((offsets[-1], offsets[-1]))
         for (a, b), s in curvature.items():
+            (A, _, ka, a_cont), (B, _, kb, b_cont) = self.maps[a], self.maps[b]
             ws = w * s
-            if a >= n_u:  # v-v pair
+            if a_cont and b_cont:
                 ws[1] += ws[0]
             ws[0] = 0.0
-            (A, ka), (B, kb) = tables[a], tables[b]
-            blk = A[:, free[ka]].T @ (ws[:, None] * B[:, free[kb]])
+            blk = A.coeffs[:, free[ka]].T @ (ws[:, None] * B.coeffs[:, free[kb]])
             H[blocks[ka], blocks[kb]] += blk
             if a != b:
                 H[blocks[kb], blocks[ka]] += blk.T
@@ -471,5 +453,4 @@ def constraint_value(problem: VarProblem, y, grid: Grid) -> float:
         raise ValueError("constraint_value requires a constrained problem")
     dp = assemble(problem, grid)
     Y = _normalize_samples(problem, grid, y)
-    u, v = dp.channels(Y)
-    return dp.functional_value(problem.constraint.g, u, v)
+    return dp.functional_value(problem.constraint.g, dp.channels(Y))

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import ExprDomainError
-from .grids import Grid, SampledFn
-from .problems import DiscreteProblem, VarProblem, assemble, _normalize_samples
+from .grids import Grid, SampledFn, weighted_norm
+from .problems import VarProblem, assemble, _normalize_samples
 
 __all__ = ["SolveConfig", "SolveReport", "gradient", "minimize", "solve_isoperimetric"]
 
@@ -147,11 +147,6 @@ def _free_nodes(problem: VarProblem, grid: Grid):
     return free, mask
 
 
-def _free_residual_norm(dp: DiscreteProblem, r: np.ndarray, mask: np.ndarray) -> float:
-    w = dp.grid.quad_weights
-    return float(np.sqrt(np.sum(w * r * r * mask)))
-
-
 def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Solve H d = -g, shifting the diagonal of H (in place) until it factors.
 
@@ -228,43 +223,43 @@ def minimize(
     w = grid.quad_weights
     free, mask = _free_nodes(problem, grid)
     Y = _start(problem, grid, y0)
-    u, v = dp.channels(Y)
-    J = dp.functional_value(L, u, v)
+    c = dp.channels(Y)
+    J = dp.functional_value(L, c)
     history = []
     iters = 0
     converged = False
     while True:
-        r = dp._residual_from(u, v)
+        r = dp._residual_from(c)
         g = (w * r)[mask]
         if not np.isfinite(J) or not np.all(np.isfinite(g)):
             raise ArithmeticError(
                 f"non-finite functional value or gradient at iteration {iters}"
             )
-        norm = _free_residual_norm(dp, r, mask)
+        norm = weighted_norm(grid, r * mask)
         history.append((J, norm))
         if norm <= cfg.grad_tol:
             converged = True
             break
         if iters >= cfg.max_iters:
             break
-        d = _newton_direction(dp.hessian(dp.curvature(u, v), free), g)
+        d = _newton_direction(dp.hessian(dp.curvature(c), free), g)
         D = np.zeros(Y.shape)
         D[mask] = d
-        du, dv = dp.channels(D)
+        dc = dp.channels(D)
         slope = float(g @ d)
 
         def trial(t):
-            u_t, v_t = _shifted(u, du, t), _shifted(v, dv, t)
-            J_t = dp.functional_value(L, u_t, v_t)
+            c_t = _shifted(c, dc, t)
+            J_t = dp.functional_value(L, c_t)
             if np.isfinite(J_t) and J_t <= J + cfg.armijo_c * t * slope:
-                return u_t, v_t, J_t
+                return c_t, J_t
             return None
 
         t, accepted = _backtrack(cfg, trial)
         if t is None:
             break  # no admissible step; numerically stuck
         Y = Y + t * D
-        u, v, J = accepted
+        c, J = accepted
         iters += 1
     return SolveReport(
         y=_pack_y(grid, Y),
@@ -298,26 +293,26 @@ def solve_isoperimetric(
     cfg = cfg or SolveConfig()
     con = problem.constraint
     dp = assemble(dataclasses.replace(problem, constraint=None), grid)
-    dp_con = dp.with_lagrangian(con.g)
+    dp_con = assemble(dataclasses.replace(dp.problem, lagrangian=con.g), grid)
     L = problem.lagrangian
     w = grid.quad_weights
     free, mask = _free_nodes(problem, grid)
     Y = _start(problem, grid, y0)
 
-    def state(u, v):
-        """J, constraint gap and the residuals of J and C at (u, v)."""
-        J = dp.functional_value(L, u, v)
-        gap = dp.functional_value(con.g, u, v) - con.ell
-        return J, gap, dp._residual_from(u, v), dp_con._residual_from(u, v)
+    def state(c):
+        """J, constraint gap and the residuals of J and C at the channels c."""
+        J = dp.functional_value(L, c)
+        gap = dp.functional_value(con.g, c) - con.ell
+        return J, gap, dp._residual_from(c), dp_con._residual_from(c)
 
     def merit(gap, r_J, r_C, lam):
         """Squared residual of the optimality conditions."""
         g = (w * (r_J + lam * r_C))[mask]
         return float(g @ g + gap * gap)
 
-    u, v = dp.channels(Y)
+    c = dp.channels(Y)
     lam = 0.0
-    J, gap, r_J, r_C = state(u, v)
+    J, gap, r_J, r_C = state(c)
     history = []
     iters = 0
     converged = abnormal = False
@@ -327,9 +322,9 @@ def solve_isoperimetric(
             raise ArithmeticError(
                 f"non-finite functional value or gradient at iteration {iters}"
             )
-        norm = _free_residual_norm(dp, r, mask)
+        norm = weighted_norm(grid, r * mask)
         history.append((J, norm))
-        if _free_residual_norm(dp, r_C, mask) <= _ABNORMAL_TOL:
+        if weighted_norm(grid, r_C * mask) <= _ABNORMAL_TOL:
             abnormal = True
             break
         if norm <= cfg.grad_tol and abs(gap) <= cfg.multiplier_tol:
@@ -337,8 +332,8 @@ def solve_isoperimetric(
             break
         if iters >= cfg.max_iters:
             break
-        curv = dp.curvature(u, v)
-        for key, s in dp_con.curvature(u, v).items():
+        curv = dp.curvature(c)
+        for key, s in dp_con.curvature(c).items():
             curv[key] = curv[key] + lam * s if key in curv else lam * s
         gC = (w * r_C)[mask]
         n = gC.size
@@ -354,23 +349,23 @@ def solve_isoperimetric(
             break
         D = np.zeros(Y.shape)
         D[mask] = sol[:n]
-        du, dv = dp.channels(D)
+        dc = dp.channels(D)
         m0 = merit(gap, r_J, r_C, lam)
 
         def trial(t):
             lam_t = lam + t * (sol[n] - lam)
-            u_t, v_t = _shifted(u, du, t), _shifted(v, dv, t)
-            J_t, gap_t, r_J_t, r_C_t = state(u_t, v_t)
+            c_t = _shifted(c, dc, t)
+            J_t, gap_t, r_J_t, r_C_t = state(c_t)
             m_t = merit(gap_t, r_J_t, r_C_t, lam_t)
             if np.isfinite(m_t) and m_t <= (1.0 - 2.0 * cfg.armijo_c * t) * m0:
-                return u_t, v_t, lam_t, J_t, gap_t, r_J_t, r_C_t
+                return c_t, lam_t, J_t, gap_t, r_J_t, r_C_t
             return None
 
         t, accepted = _backtrack(cfg, trial)
         if t is None:
             break  # no admissible step; numerically stuck
         Y = Y + t * D
-        u, v, lam, J, gap, r_J, r_C = accepted
+        c, lam, J, gap, r_J, r_C = accepted
         iters += 1
 
     if abnormal:

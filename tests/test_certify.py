@@ -1,4 +1,6 @@
 """Convexity certificates, the excess function, and exact-field verification."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,10 @@ def test_unknown_name_is_an_error_not_inconclusive(L):
         check_convexity(L, BOX)
     with pytest.raises(ValueError, match="L may use only x, u and v"):
         check_field(L, ExactField(phi="1", s_fn="y - x/2", box=UNIT))
+    g = Grid(0.0, 1.0, 8)
+    with pytest.raises(ValueError, match="L may use only x, u and v"):
+        verify_field_minimizer(L, ExactField(phi="1", s_fn="y - x/2", box=UNIT),
+                               SampledFn(g, g.nodes), 0.5, g)
 
 
 def test_convex_cross_term():
@@ -97,6 +103,16 @@ def test_excess_negative_for_concave_integrand():
     assert excess("-(v^2)", 0.0, 0.0, 0.0, 1.0) < 0.0
 
 
+def test_excess_accepts_arrays():
+    x, u, z, w = np.random.default_rng(5).uniform(-1.0, 1.0, (4, 7))
+    for L in ("v^2", "u*v + x*v^2", "sin(v) - u^2"):
+        E = excess(L, x, u, z, w)
+        assert isinstance(E, np.ndarray) and E.shape == (7,)
+        scalar = [excess(L, *point) for point in zip(x, u, z, w)]
+        np.testing.assert_allclose(E, scalar, rtol=1e-14, atol=1e-15)
+    assert type(excess("v^2", 0.0, 0.0, 1.0, 3.0)) is float
+
+
 # ---------------------------------------------------------------- exact fields
 
 def halfx_field():
@@ -123,6 +139,17 @@ def test_check_field_zero_field():
 def test_field_expressions_validated():
     with pytest.raises(ValueError):
         ExactField(phi="u + 1", s_fn="y", box=UNIT)  # only x and y allowed
+
+
+def test_field_construction_differentiates_nothing():
+    # y^x differentiates by the exp/log rewrite, which warns; building the
+    # field must not, only check_field's derivatives of s_fn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ExactField(phi="y^x", s_fn="y", box=((0, 1), (0.5, 1)))
+    field = ExactField(phi="1", s_fn="y^x", box=((0, 1), (0.5, 1)))
+    with pytest.warns(UserWarning, match="exp/log rewrite"):
+        check_field("v^2/2", field)
 
 
 def test_verify_field_minimizer_reference():

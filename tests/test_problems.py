@@ -56,6 +56,19 @@ def test_pins_shorthand():
     assert p.pins == ((0.0, 1.0),)
 
 
+@pytest.mark.parametrize("pins, n, got", [
+    ((0.0, None), 2, "0.0"),
+    (((0.0, None, 1.0),), 1, r"\(0.0, None, 1.0\)"),
+])
+def test_pin_entry_must_be_a_pair(pins, n, got):
+    L = "v1^2 + v2^2" if n == 2 else "v^2"
+    with pytest.raises(ValueError, match=rf"pins\[0\]: expected a \(left, right\) pair, got {got}$"):
+        half_problem(L, n_unknowns=n, pins=pins)
+    # anything that unpacks into two values is a pair
+    p = half_problem("v1^2 + v2^2", n_unknowns=2, pins=([0.0, None], iter((None, 1))))
+    assert p.pins == ((0.0, None), (None, 1.0))
+
+
 # ---------------------------------------------------------------- functional
 
 def test_functional_zero_candidate(grid64):

@@ -217,7 +217,7 @@ def test_hessian_matches_gradient_differences():
     Y[0, 0] = 0.0
     free = (slice(1, n + 1), slice(0, n + 1))
     dp = assemble(p, g)
-    H = dp.hessian(dp.curvature(*dp.channels(Y)), free)
+    H = dp.hessian(dp.curvature(dp.channels(Y)), free)
     assert H.shape == (2 * n + 1, 2 * n + 1)
     assert np.max(np.abs(H - H.T)) <= 1e-12 * np.max(np.abs(H))
     rng = np.random.default_rng(59)
@@ -238,9 +238,9 @@ def test_hessian_builds_only_curved_tables():
     g = Grid(0.0, 1.0, 64)
     dp = assemble(p, g)
     Y = np.sqrt(g.nodes)[None, :]
-    H = dp.hessian(dp.curvature(*dp.channels(Y)), (slice(1, g.n_nodes),))
-    assert "coeffs" not in dp.I_ops[0].__dict__
-    D = dp.D_ops[0].coeffs[:, 1:]
+    H = dp.hessian(dp.curvature(dp.channels(Y)), (slice(1, g.n_nodes),))
+    assert "coeffs" not in dp.maps[0][0].__dict__
+    D = dp.maps[1][0].coeffs[:, 1:]
     ws = 2.0 * g.quad_weights
     ws[1] += ws[0]
     ws[0] = 0.0

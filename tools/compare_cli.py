@@ -31,6 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "demos" / "problems"
 DROP = object()  # marks a key a variant removes
+TWO_ORDERS = {"alpha": [0.3, 0.7], "beta": [0.4, 0.6]}
 
 # name: (fixture stem, {key: new value or DROP}, extra argv)
 VARIANTS = {
@@ -76,6 +77,21 @@ VARIANTS = {
                               "candidate": ["sqrt(x)", "sqrt(x)"]}, []),
     "check-field-alpha-not-beta": (
         "check_field_halfx", {"orders": {"alpha": 0.5, "beta": 0.3}}, []),
+    # several orders per side: the channel order u1.., v1.. is exercised
+    "el-residual-two-by-two": (
+        "el_residual_extremal",
+        {"unknowns": 2, "orders": TWO_ORDERS, "candidate": ["sqrt(x)", "x^2"],
+         "lagrangian": "v1^2 + v2*v3 + u1*v4 + u2^2 + x*u3 + (v4 - 1)^2 + u4*v1"}, []),
+    "solve-two-by-two": (
+        "solve_quadratic",
+        {"unknowns": 2, "orders": TWO_ORDERS,
+         "lagrangian": "(v1 - x)^2 + v2^2 + v3^2 + (v4 - 1)^2 + v1*v4/2 + u1^2"
+                       " + u1*v2/4 + u2^2 + u3*u4/4 + exp(u4)/8",
+         "pins": [{"left": 0.0, "right": None}, {"left": None, "right": None}]}, []),
+    "solve-iso-two-orders": (
+        "solve_iso_lambda2",
+        {"orders": TWO_ORDERS, "lagrangian": "v1^2 + v2^2 + u1*u2",
+         "constraint": {"g": "v1", "ell": 1.0}}, []),
 }
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
