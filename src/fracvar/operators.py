@@ -40,8 +40,13 @@ output.  So output i of a left operator depends on samples 0..i only,
 bit for bit, at every N.  Its round-off is about 1e-15 of the largest
 row sum of |L_ij f_j|, as for the direct convolution.
 
+The inverse of the Toeplitz part is lower-triangular Toeplitz as well;
+FracOperator.inverse_kernel gives its kernel in O(N) (closed form for the
+RLFD, a power-series reciprocal for the RLFI), and the solver's
+preconditioner applies it through the same matvec.
+
 The dense table (FracOperator.coeffs) is gathered from the kernel on
-first access and then cached.  Only the dense Hessian and tests read it.
+first access and then cached.  No library code reads it; tests do.
 
 Operators are immutable; applying one is a pure function.  Endpoint rows
 of derivative-kind operators are reported but unreliable, and the first
@@ -121,7 +126,7 @@ class FracOperator:
     (_lower_toeplitz) plus O(N) endpoint work: a direct convolution up to
     _LEAF cells, the block-FFT scheme beyond, O(N log^2 N) time; exactly
     causal for left kinds at every N.  The dense table coeffs is built
-    only when first read (by DiscreteProblem.hessian and tests), then
+    only when first read (by tests; the library never reads it), then
     cached.  Construct operators through the build_* functions.
     """
 
@@ -184,6 +189,35 @@ class FracOperator:
         out[0] = self._col0 @ q
         out[1:] = _lower_toeplitz(self._kernel, q[:0:-1])[::-1]
         return out
+
+    @cached_property
+    def inverse_kernel(self) -> np.ndarray:
+        """Kernel of the inverse of the Toeplitz part, read-only; O(N).
+
+        The lower-triangular Toeplitz matrix with kernel _kernel, on any
+        number of leading rows, has as inverse the one with this kernel.
+        For the RLFD (h^-b times the coefficients of (1 - z)^b) it is h^b
+        times the coefficients of (1 - z)^-b: c_0 = 1 and
+        c_k = c_{k-1} (k - 1 + b) / k (Lubich 1986).  For the RLFI it is
+        the power-series reciprocal of the kernel, by Newton doubling
+        r <- r (2 - t r) mod z^2m, four matvecs of length N in all.
+        """
+        t = self._kernel
+        if self.kind in (OperatorKind.LEFT_RLFD, OperatorKind.RIGHT_RLFD):
+            b = self.order.value
+            k = np.arange(1, t.size)
+            inv = self.grid.h**b * np.concatenate(([1.0], np.cumprod((k - 1.0 + b) / k)))
+        else:
+            inv = np.array([1.0 / t[0]])
+            while inv.size < t.size:
+                m = min(2 * inv.size, t.size)
+                r = np.zeros(m)
+                r[: inv.size] = inv
+                e = -_lower_toeplitz(t, r)
+                e[0] += 2.0
+                inv = _lower_toeplitz(r, e)
+        inv.setflags(write=False)
+        return inv
 
     @cached_property
     def coeffs(self) -> np.ndarray:

@@ -32,13 +32,18 @@ The discrete gradient of the functional with respect to node values equals
 omega_i * r_i exactly, where r is the Euler-Lagrange residual computed with
 the adjoint-built right operators W^-1 A^T W.
 
-The channel maps are linear and L acts pointwise, so the Hessian of the
-discrete functional is exact as well:
+The residual is one pullback of the channel partials p_a = dL/d(channel a):
+r = sum_a R_a fold(p_a), with fold the adjoint of the node-0 continuation
+(DiscreteProblem.pullback, the only place it is applied).  The channel
+maps are linear and L acts pointwise, so the Hessian of the discrete
+functional is exact as well, and applying it is the same pullback:
 
-    H = sum_ab A_a^T W diag(d2L/da db) A_b
+    H d = w * pullback(q),   q_a = sum_b d2L/da db * (A_b d)
 
-over the channel maps A_a, with the node-0 continuation folded into the
-weights (DiscreteProblem.hessian, which reads the operators' dense views).
+over the channel maps A_a (DiscreteProblem.hessian_product).  It is never
+formed: a curved channel pair costs about two operator applies, O(N log^2 N).
+DiscreteProblem.preconditioner inverts each unknown's strongest diagonal
+block exactly, through the operators' inverse Toeplitz kernels.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -65,6 +70,8 @@ from .grids import Grid, SampledFn, weighted_norm
 from .operators import (
     FracOperator,
     FracOrder,
+    OperatorKind,
+    _lower_toeplitz,
     build_left_rlfd,
     build_left_rlfi,
     build_right_adjoint,
@@ -122,6 +129,8 @@ class VarProblem:
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
+        if not (np.isfinite(self.a) and np.isfinite(self.b)):
+            raise ValueError(f"interval endpoints must be finite, got ({self.a}, {self.b})")
         if not self.b > self.a:
             raise ValueError(f"interval requires b > a, got ({self.a}, {self.b})")
         object.__setattr__(self, "alphas", _as_orders(self.alphas, "integral"))
@@ -234,12 +243,13 @@ class DiscreteProblem:
     """A problem bound to a grid, with operators and partials precomputed.
 
     Exposes the channel maps (linear), the functional, the residual, the
-    exact gradient and the exact Hessian; the solver drives everything
-    through this object.  maps, names and partials hold one entry per
-    channel, in the order of the module docstring: the u channels, then
-    the v channels.  A map is (left operator, its quadrature adjoint,
-    unknown index, whether node 0 continues node 1).  Channel lists (from
-    channels; into env, functional_value and curvature) follow that order.
+    exact gradient, the exact Hessian product and its preconditioner; the
+    solver drives everything through this object.  maps, names and
+    partials hold one entry per channel, in the order of the module
+    docstring: the u channels, then the v channels.  A map is (left
+    operator, its quadrature adjoint, unknown index, whether node 0
+    continues node 1).  Channel lists (from channels; into env,
+    functional_value and curvature) follow that order.
     """
 
     def __init__(self, problem: VarProblem, grid: Grid):
@@ -272,13 +282,14 @@ class DiscreteProblem:
 
     def channels(self, Y: np.ndarray) -> list[np.ndarray]:
         """The channels of Y: integral, then (endpoint-continued) derivative."""
-        out = []
-        for op, _, k, continued in self.maps:
-            vals = op.apply(Y[k])
-            if continued:
-                vals[0] = vals[1]
-            out.append(vals)
-        return out
+        return [self._channel(Y, a) for a in range(len(self.maps))]
+
+    def _channel(self, Y: np.ndarray, a: int) -> np.ndarray:
+        op, _, k, continued = self.maps[a]
+        vals = op.apply(Y[k])
+        if continued:
+            vals[0] = vals[1]
+        return vals
 
     def env(self, c: list[np.ndarray]) -> dict:
         e = {"x": self.grid.nodes, **dict(zip(self.names, c))}
@@ -299,21 +310,33 @@ class DiscreteProblem:
         return self._residual_from(self.channels(Y))
 
     def _residual_from(self, c: list[np.ndarray]) -> np.ndarray:
+        return self.pullback(self.first_partials(c))
+
+    def first_partials(self, c: list[np.ndarray]) -> list[np.ndarray | None]:
+        """Node samples of dL/d(channel), one per channel; None where the
+        partial is identically zero."""
         env = self.env(c)
         n = self.grid.n_nodes
+        return [None if e == Num(0.0) else _evaluate_array(e, env, n) for e in self.partials]
+
+    def pullback(self, p: list[np.ndarray | None]) -> np.ndarray:
+        """sum_a adjoint_a(p_a) into the row of channel a's unknown.
+
+        p holds one sample vector (or None, for zero) per channel.  This is
+        the one place that applies the adjoint of the node-0 continuation:
+        under the quadrature inner product, node 0's weighted value moves
+        onto node 1.
+        """
         w = self.grid.quad_weights
-        g = np.zeros((self.problem.n_unknowns, n))
-        for (_, adjoint, k, continued), p_expr in zip(self.maps, self.partials):
-            if p_expr == Num(0.0):
+        g = np.zeros((self.problem.n_unknowns, self.grid.n_nodes))
+        for (_, adjoint, k, continued), pa in zip(self.maps, p):
+            if pa is None:
                 continue
-            p = _evaluate_array(p_expr, env, n)
             if continued:
-                # adjoint of the node-0 continuation under the quadrature
-                # inner product: node 0's weighted value moves onto node 1
-                p = p.copy()
-                p[1] += p[0] * w[0] / w[1]
-                p[0] = 0.0
-            g[k] += adjoint.apply(p)
+                pa = pa.copy()
+                pa[1] += pa[0] * w[0] / w[1]
+                pa[0] = 0.0
+            g[k] += adjoint.apply(pa)
         return g
 
     def residual(self, Y: np.ndarray) -> Residual:
@@ -349,32 +372,74 @@ class DiscreteProblem:
         n = self.grid.n_nodes
         return {(a, b): _evaluate_array(e, env, n) for a, b, e in self._second_partials}
 
-    def hessian(self, curvature: dict, free: Sequence[slice]) -> np.ndarray:
-        """Exact Hessian of the functional on the free node values.
+    def hessian_product(self, curvature: dict, D: np.ndarray) -> np.ndarray:
+        """H D, the exact Hessian of the functional times node values D.
 
-        free holds one contiguous slice of node indices per unknown; rows and
-        columns follow the unknowns in order.  The dense tables
-        (FracOperator.coeffs, built on first use and cached) of the channels
-        that appear in curvature enter as views of their free columns; the
-        other channels' tables are never built.  The node-0 continuation is
-        folded into the weights: row 0 of a continued channel repeats row 1,
-        and row 0 of an integral table is zero.
+        H D = w * pullback(q) with q_a = sum_b s_ab (A_b D), over the
+        channel pairs (a, b) in curvature; D and the result have one row
+        per unknown.  Only channels that appear in curvature are applied,
+        so a curved pair costs about two applies.
+        """
+        dc = {}
+        q = [None] * len(self.maps)
+        for (a, b), s in curvature.items():
+            for i, j in ((a, b),) if a == b else ((a, b), (b, a)):
+                if j not in dc:
+                    dc[j] = self._channel(D, j)
+                q[i] = s * dc[j] if q[i] is None else q[i] + s * dc[j]
+        return self.grid.quad_weights * self.pullback(q)
+
+    def preconditioner(self, curvature: dict) -> Callable[[np.ndarray], np.ndarray]:
+        """An SPD approximate inverse of H, on arrays with one row per unknown.
+
+        Per unknown, the exact inverse of its strongest curved diagonal
+        block (highest-order derivative channel, else lowest-order
+        integral channel): T^-1 diag(1 / |w s_aa|) T^-T, with T the
+        Toeplitz part of the channel's operator on nodes lo..N (lo = 1
+        when node 0 is pinned; a free node 0 takes node 1's weight).
+        Weights are floored at _WEIGHT_FLOOR of the largest; an unknown
+        without diagonal curvature keeps the identity.  Masking input and
+        output gives the principal submatrix for a pinned node N.
         """
         w = self.grid.quad_weights
-        offsets = np.cumsum([0] + [s.stop - s.start for s in free])
-        blocks = [slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
-        H = np.zeros((offsets[-1], offsets[-1]))
-        for (a, b), s in curvature.items():
-            (A, _, ka, a_cont), (B, _, kb, b_cont) = self.maps[a], self.maps[b]
-            ws = w * s
-            if a_cont and b_cont:
+        blocks = []
+        for k, (left, _) in enumerate(self.problem.pins):
+            diag = [a for a, b in curvature if a == b and self.maps[a][2] == k]
+            if not diag:
+                continue
+            a = max(diag, key=lambda a: _strength(self.maps[a][0]))
+            ws = w * curvature[a, a]
+            if self.maps[a][3]:
                 ws[1] += ws[0]
-            ws[0] = 0.0
-            blk = A.coeffs[:, free[ka]].T @ (ws[:, None] * B.coeffs[:, free[kb]])
-            H[blocks[ka], blocks[kb]] += blk
-            if a != b:
-                H[blocks[kb], blocks[ka]] += blk.T
-        return H
+            lo = 0 if left is None else 1
+            ws = np.abs(ws[lo:])
+            if lo == 0:
+                ws[0] = ws[1]
+            top = np.max(ws)
+            if top > 0.0:
+                blocks.append((k, lo, self.maps[a][0].inverse_kernel,
+                               np.maximum(ws, _WEIGHT_FLOOR * top)))
+
+        def apply(R: np.ndarray) -> np.ndarray:
+            Z = R.copy()
+            for k, lo, c, ws in blocks:
+                u = _lower_toeplitz(c, R[k, lo:][::-1])[::-1] / ws
+                Z[k, lo:] = _lower_toeplitz(c, u)
+            return Z
+
+        return apply
+
+
+# preconditioner weights are floored at this fraction of the largest
+_WEIGHT_FLOOR = 1e-12
+
+
+def _strength(op: FracOperator) -> float:
+    """The operator's order as a derivative: b for an RLFD of order b,
+    -a for an RLFI of order a."""
+    if op.kind is OperatorKind.LEFT_RLFD:
+        return op.order.value
+    return -op.order.value
 
 
 def assemble(problem: VarProblem, grid: Grid) -> DiscreteProblem:

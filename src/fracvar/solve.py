@@ -1,24 +1,25 @@
 """Direct minimization of discretized fractional functionals.
 
-minimize runs damped Newton on the free node values with the exact Hessian
-(DiscreteProblem.hessian); pinned endpoint values never move.  Each step
-solves H d = -g after a Cholesky test.  When H does not factor (nonconvex
-L, or the flat direction the node-0 continuation leaves when nothing fixes
-the first node), a diagonal shift from 1e-12 max|diag H| grows tenfold
-until it does; -g replaces the step only if that is not a descent
-direction.  Armijo backtracking starts every line search at step_init, so
-the J history is nonincreasing; a trial point outside the Lagrangian's
-domain counts as a rejected step.
+minimize runs damped Newton on the free node values; pinned endpoint
+values never move.  Each step solves H d = -g by matrix-free
+preconditioned CG (DiscreteProblem.hessian_product and .preconditioner),
+truncated at the first direction of nonpositive curvature for nonconvex
+L (Steihaug 1983), so every step is a descent direction (_pcg).
+Armijo backtracking starts every line search at step_init, so the J
+history is nonincreasing; a trial point outside the Lagrangian's domain
+counts as a rejected step.
 
-solve_isoperimetric runs equality-constrained Newton: each iteration solves
+solve_isoperimetric runs equality-constrained Newton on the bordered system
 
     [H_L + lam H_g   grad C] [  d    ]   [ -grad J   ]
     [grad C^T          0   ] [lam_new] = [-(C - ell)]
 
-for the step and the new multiplier together, backtracking on the squared
-residual of the optimality conditions.  A vanishing constraint gradient or
-a singular bordered matrix is the abnormal case: it is reported with
-lam=None and a RuntimeWarning, not solved.
+in range-space form: two PCG solves, H x = -grad J and H z = grad C, give
+lam_new = (grad C^T x + C - ell) / (grad C^T z) and d = x - lam_new z.  It
+backtracks on the squared residual of the optimality conditions.  A
+vanishing constraint gradient, or grad C^T z ~ 0 (the bordered matrix is
+singular), is the abnormal case: it is reported with lam=None and a
+RuntimeWarning, not solved.
 """
 
 from __future__ import annotations
@@ -35,13 +36,14 @@ from .problems import VarProblem, assemble, _normalize_samples
 
 __all__ = ["SolveConfig", "SolveReport", "gradient", "minimize", "solve_isoperimetric"]
 
-# first diagonal shift relative to max|diag H|, and the largest one tried
-_SHIFT_START = 1e-12
-_SHIFT_MAX = 1e12
 # a line search gives up below this step
 _MIN_STEP = 1e-18
-# a constraint gradient at or below this weighted norm is treated as zero
+# a constraint gradient at or below this weighted norm is treated as zero,
+# and so is grad C^T z at or below this fraction of |grad C| |z|
 _ABNORMAL_TOL = 1e-10
+# CG stops once its residual has fallen by this factor, in the norm of the
+# convergence test
+_CG_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,11 @@ class SolveReport:
     residual_norm is the weighted Euler-Lagrange residual norm over free
     (unpinned) nodes; for constrained solves it refers to the multiplier-
     augmented problem.  history holds one (J, grad_norm) row per visited
-    iterate, final point included.
+    iterate, final point included.  stop_reason is "converged",
+    "max_iters", "line_search_stalled" (no step down to 1e-18 was
+    accepted) or "degenerate_constraint" (the abnormal isoperimetric
+    case); linear_iters counts the CG iterations (Hessian products) of the
+    whole solve.
     """
 
     y: SampledFn | tuple[SampledFn, ...]
@@ -96,6 +102,8 @@ class SolveReport:
     iters: int
     converged: bool
     history: np.ndarray
+    stop_reason: str | None = None
+    linear_iters: int = 0
 
     def __post_init__(self) -> None:
         h = np.asarray(self.history, dtype=float).reshape(-1, 2).copy()
@@ -129,45 +137,49 @@ def _start(problem: VarProblem, grid: Grid, y0) -> np.ndarray:
     return Y
 
 
-def _free_nodes(problem: VarProblem, grid: Grid):
-    """Free node indices of each unknown as slices, and as a mask of Y.
+def _free_mask(problem: VarProblem, grid: Grid) -> np.ndarray:
+    """The free (unpinned) entries of Y; pins sit only at nodes 0 and N."""
+    mask = np.ones((problem.n_unknowns, grid.n_nodes), dtype=bool)
+    for k, (left, right) in enumerate(problem.pins):
+        mask[k, 0] = left is None
+        mask[k, -1] = right is None
+    return mask
 
-    Pins sit only at nodes 0 and N, so each unknown's free nodes are
-    contiguous.  Y[mask] lists them unknown by unknown, the order of the
-    rows and columns of DiscreteProblem.hessian.
+
+def _pcg(dp, curvature: dict, mask: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Truncated preconditioned CG for H d = b on the free entries (mask).
+
+    H is dp's Hessian at the given curvature, applied matrix-free, and P
+    its preconditioner.  Returns d and the number of Hessian products.
+    Stops once the residual r = b - H d has fallen by _CG_RTOL in the norm
+    of the solvers' convergence test, sqrt(sum r^2 / w), after as many
+    products as there are free entries, or at the first direction p with
+    p^T H p <= 0 (Steihaug 1983): d is then the last iterate, or p = P^-1 b
+    itself at the first iteration.  Every earlier direction had positive
+    curvature, so b^T d > 0 for every nonzero d returned.
     """
-    n = grid.n_cells
-    free = tuple(
-        slice(0 if left is None else 1, n + 1 if right is None else n)
-        for left, right in problem.pins
-    )
-    mask = np.zeros((len(free), n + 1), dtype=bool)
-    for k, s in enumerate(free):
-        mask[k, s] = True
-    return free, mask
-
-
-def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Solve H d = -g, shifting the diagonal of H (in place) until it factors.
-
-    Falls back to -g when no shift up to _SHIFT_MAX max|diag H| factors or
-    the shifted step is not a descent direction.
-    """
-    n = g.size
-    scale = float(np.max(np.abs(np.diagonal(H)), initial=0.0)) or 1.0
-    shift = 0.0
-    while True:
-        try:
-            np.linalg.cholesky(H)
-            break
-        except np.linalg.LinAlgError:
-            nxt = _SHIFT_START * scale if shift == 0.0 else 10.0 * shift
-            if nxt > _SHIFT_MAX * scale:
-                return -g
-            H.flat[:: n + 1] += nxt - shift
-            shift = nxt
-    d = np.linalg.solve(H, -g)
-    return d if g @ d < 0.0 else -g
+    precond = dp.preconditioner(curvature)
+    w = dp.grid.quad_weights
+    stop = _CG_RTOL**2 * float(np.vdot(b, b / w))
+    d = np.zeros_like(b)
+    r = b
+    p = rz = None
+    n_free = int(mask.sum())
+    for i in range(n_free):
+        if float(np.vdot(r, r / w)) <= stop:
+            return d, i
+        z = precond(r) * mask
+        rz_new = float(np.vdot(r, z))
+        p = z if p is None else z + (rz_new / rz) * p
+        rz = rz_new
+        Hp = dp.hessian_product(curvature, p) * mask
+        curv = float(np.vdot(p, Hp))
+        if not curv > 0.0:
+            return (p if i == 0 else d), i + 1
+        step = rz / curv
+        d = d + step * p
+        r = r - step * Hp
+    return d, n_free
 
 
 def gradient(problem: VarProblem, y, grid: Grid) -> np.ndarray:
@@ -207,7 +219,7 @@ def minimize(
     cfg: SolveConfig | None = None,
     y0=None,
 ) -> SolveReport:
-    """Damped Newton with the exact Hessian on the free node values.
+    """Damped Newton-PCG on the free node values.
 
     Pinned entries of y0 are overwritten with the pin values; the default
     start interpolates linearly through the pins (zero at unpinned ends).
@@ -221,16 +233,15 @@ def minimize(
     dp = assemble(problem, grid)
     L = problem.lagrangian
     w = grid.quad_weights
-    free, mask = _free_nodes(problem, grid)
+    mask = _free_mask(problem, grid)
     Y = _start(problem, grid, y0)
     c = dp.channels(Y)
     J = dp.functional_value(L, c)
     history = []
-    iters = 0
-    converged = False
+    iters = linear_iters = 0
     while True:
         r = dp._residual_from(c)
-        g = (w * r)[mask]
+        g = w * r * mask
         if not np.isfinite(J) or not np.all(np.isfinite(g)):
             raise ArithmeticError(
                 f"non-finite functional value or gradient at iteration {iters}"
@@ -238,15 +249,15 @@ def minimize(
         norm = weighted_norm(grid, r * mask)
         history.append((J, norm))
         if norm <= cfg.grad_tol:
-            converged = True
+            stop = "converged"
             break
         if iters >= cfg.max_iters:
+            stop = "max_iters"
             break
-        d = _newton_direction(dp.hessian(dp.curvature(c), free), g)
-        D = np.zeros(Y.shape)
-        D[mask] = d
+        D, n_cg = _pcg(dp, dp.curvature(c), mask, -g)
+        linear_iters += n_cg
         dc = dp.channels(D)
-        slope = float(g @ d)
+        slope = float(np.vdot(g, D))
 
         def trial(t):
             c_t = _shifted(c, dc, t)
@@ -257,7 +268,8 @@ def minimize(
 
         t, accepted = _backtrack(cfg, trial)
         if t is None:
-            break  # no admissible step; numerically stuck
+            stop = "line_search_stalled"
+            break
         Y = Y + t * D
         c, J = accepted
         iters += 1
@@ -268,8 +280,10 @@ def minimize(
         lam=None,
         constraint_gap=None,
         iters=iters,
-        converged=converged,
+        converged=stop == "converged",
         history=np.array(history),
+        stop_reason=stop,
+        linear_iters=linear_iters,
     )
 
 
@@ -279,14 +293,15 @@ def solve_isoperimetric(
     cfg: SolveConfig | None = None,
     y0=None,
 ) -> SolveReport:
-    """Equality-constrained Newton on the bordered (KKT) system.
+    """Equality-constrained Newton on the bordered (KKT) system, range-space.
 
     Starts from lam = 0 and updates y and lam together.  Converged means
     the augmented residual is at most grad_tol and the constraint gap at
     most multiplier_tol.  A numerically zero constraint gradient, or a
-    singular bordered matrix, at any iterate signals the abnormal case, in
-    which the candidate may be an extremal of the constraint functional
-    itself; it is reported with a RuntimeWarning and lam=None, not solved.
+    singular bordered matrix (grad C^T H^-1 grad C ~ 0), at any iterate
+    signals the abnormal case, in which the candidate may be an extremal
+    of the constraint functional itself; it is reported with a
+    RuntimeWarning and lam=None, not solved.
     """
     if problem.constraint is None:
         raise ValueError("solve_isoperimetric requires a problem with a constraint")
@@ -296,7 +311,7 @@ def solve_isoperimetric(
     dp_con = assemble(dataclasses.replace(dp.problem, lagrangian=con.g), grid)
     L = problem.lagrangian
     w = grid.quad_weights
-    free, mask = _free_nodes(problem, grid)
+    mask = _free_mask(problem, grid)
     Y = _start(problem, grid, y0)
 
     def state(c):
@@ -314,8 +329,7 @@ def solve_isoperimetric(
     lam = 0.0
     J, gap, r_J, r_C = state(c)
     history = []
-    iters = 0
-    converged = abnormal = False
+    iters = linear_iters = 0
     while True:
         r = r_J + lam * r_C
         if not np.isfinite(J + gap) or not np.all(np.isfinite(r)):
@@ -325,35 +339,32 @@ def solve_isoperimetric(
         norm = weighted_norm(grid, r * mask)
         history.append((J, norm))
         if weighted_norm(grid, r_C * mask) <= _ABNORMAL_TOL:
-            abnormal = True
+            stop = "degenerate_constraint"
             break
         if norm <= cfg.grad_tol and abs(gap) <= cfg.multiplier_tol:
-            converged = True
+            stop = "converged"
             break
         if iters >= cfg.max_iters:
+            stop = "max_iters"
             break
         curv = dp.curvature(c)
         for key, s in dp_con.curvature(c).items():
             curv[key] = curv[key] + lam * s if key in curv else lam * s
-        gC = (w * r_C)[mask]
-        n = gC.size
-        kkt = np.zeros((n + 1, n + 1))
-        kkt[:n, :n] = dp.hessian(curv, free)
-        kkt[:n, n] = kkt[n, :n] = gC
-        try:
-            sol = np.linalg.solve(kkt, np.append(-(w * r_J)[mask], -gap))
-        except np.linalg.LinAlgError:
-            sol = np.full(n + 1, np.nan)
-        if not np.all(np.isfinite(sol)):
-            abnormal = True
+        gC = w * r_C * mask
+        x, n_x = _pcg(dp, curv, mask, -w * r_J * mask)
+        z, n_z = _pcg(dp, curv, mask, gC)
+        linear_iters += n_x + n_z
+        cz = float(np.vdot(gC, z))
+        if not abs(cz) > _ABNORMAL_TOL * np.linalg.norm(gC) * np.linalg.norm(z):
+            stop = "degenerate_constraint"
             break
-        D = np.zeros(Y.shape)
-        D[mask] = sol[:n]
+        lam_new = (float(np.vdot(gC, x)) + gap) / cz
+        D = x - lam_new * z
         dc = dp.channels(D)
         m0 = merit(gap, r_J, r_C, lam)
 
         def trial(t):
-            lam_t = lam + t * (sol[n] - lam)
+            lam_t = lam + t * (lam_new - lam)
             c_t = _shifted(c, dc, t)
             J_t, gap_t, r_J_t, r_C_t = state(c_t)
             m_t = merit(gap_t, r_J_t, r_C_t, lam_t)
@@ -363,11 +374,13 @@ def solve_isoperimetric(
 
         t, accepted = _backtrack(cfg, trial)
         if t is None:
-            break  # no admissible step; numerically stuck
+            stop = "line_search_stalled"
+            break
         Y = Y + t * D
         c, lam, J, gap, r_J, r_C = accepted
         iters += 1
 
+    abnormal = stop == "degenerate_constraint"
     if abnormal:
         warnings.warn(
             f"constraint gradient vanishes or the bordered Newton matrix is "
@@ -383,6 +396,8 @@ def solve_isoperimetric(
         lam=None if abnormal else lam,
         constraint_gap=gap,
         iters=iters,
-        converged=converged,
+        converged=stop == "converged",
         history=np.array(history),
+        stop_reason=stop,
+        linear_iters=linear_iters,
     )

@@ -129,6 +129,15 @@ def test_malformed_order_exits_2(tmp_path, capsys):
     assert "between 0 and 1" in capsys.readouterr().err
 
 
+def test_infinite_endpoint_exits_2(tmp_path, capsys):
+    # json writes -inf as -Infinity, which the problem-file reader accepts
+    doc = base_solve_doc(interval={"a": -math.inf, "b": 1.0})
+    out = tmp_path / "out"
+    rc = main(["run", write_problem(tmp_path / "p.json", doc), "--out", str(out)])
+    assert rc == 2
+    assert "interval endpoints must be finite" in capsys.readouterr().err
+
+
 def test_unknown_key_exits_2(tmp_path, capsys):
     doc = base_solve_doc(bogus=1)
     rc = main(["run", write_problem(tmp_path / "p.json", doc),

@@ -483,3 +483,19 @@ def test_apply_up_to_leaf_is_one_direct_convolution(n, monkeypatch):
     monkeypatch.setattr(operators, "_lower_toeplitz", direct_toeplitz)
     for op, out in zip(ops, got):
         assert np.array_equal(out, op.apply(f)), op.kind
+
+
+@pytest.mark.parametrize("n", (1, 7, 300, 2048))
+@pytest.mark.parametrize("build", (build_left_rlfi, build_left_rlfd))
+def test_inverse_kernel_inverts_the_toeplitz_part(n, build):
+    # the RLFD's closed form (1 - z)^-b and the RLFI's power-series
+    # reciprocal both undo the kernel's lower-triangular Toeplitz matvec,
+    # through the direct and the block path
+    g = Grid(0.0, 1.0, n)
+    x = np.random.default_rng(n).standard_normal(n + 1)
+    for order in (0.1, 0.5, 0.95):
+        op = build(g, order)
+        assert not op.inverse_kernel.flags.writeable
+        Tx = operators._lower_toeplitz(op._kernel, x)
+        back = operators._lower_toeplitz(op.inverse_kernel, Tx)
+        assert np.max(np.abs(back - x)) <= 1e-11 * np.max(np.abs(x)), order

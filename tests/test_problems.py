@@ -30,6 +30,12 @@ def test_rejects_undeclared_variable():
         half_problem("v + w")
 
 
+@pytest.mark.parametrize("a, b", [(-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)])
+def test_rejects_nonfinite_endpoint(a, b):
+    with pytest.raises(ValueError, match="interval endpoints must be finite"):
+        VarProblem(a, b, alphas=0.5, betas=0.5, lagrangian="v^2")
+
+
 def test_rejects_out_of_range_orders():
     with pytest.raises(ValueError):
         VarProblem(0.0, 1.0, alphas=1.5, betas=0.5, lagrangian="v^2")

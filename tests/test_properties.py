@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from fracvar import (
     Grid,
     VarProblem,
+    assemble,
     build_left_rlfd,
     build_left_rlfi,
     build_right_adjoint,
@@ -72,6 +73,30 @@ def test_gradient_identity_quadratic(case, alpha, beta, c):
     j_minus = evaluate_functional(p, y - d, g)
     scale = 1.0 + abs(j_plus) + abs(j_minus) + float(np.abs(grad) @ np.abs(d))
     assert abs((j_plus - j_minus) / 2.0 - float(grad @ d)) <= 1e-11 * scale
+
+
+# smooth in u and v, with curvature that varies and u-u, u-v and v-v terms
+NONQUADRATIC = "v^2 + v^4/8 + u*v + u^2*v/2 + cos(u)"
+
+
+def smooth_samples(x: np.ndarray, c) -> np.ndarray:
+    return c[0] + c[1] * x + c[2] * x**2 + c[3] * np.sin(3.0 * x)
+
+
+@PROPERTY
+@given(cells, alphas, orders, st.lists(coefficients, min_size=8, max_size=8))
+def test_hessian_product_matches_gradient_differences(n, alpha, beta, c):
+    # H d is the derivative of the gradient in the direction d; for this L
+    # a central difference with step 1e-5 is exact to about 1e-8
+    g = Grid(0.0, 1.0, n)
+    p = VarProblem(0.0, 1.0, alphas=alpha, betas=beta, lagrangian=NONQUADRATIC)
+    y = smooth_samples(g.nodes, c[:4])
+    d = smooth_samples(g.nodes, c[4:])
+    dp = assemble(p, g)
+    hd = dp.hessian_product(dp.curvature(dp.channels(y[None, :])), d[None, :])[0]
+    eps = 1e-5
+    fd = (gradient(p, y + eps * d, g) - gradient(p, y - eps * d, g)) / (2.0 * eps)
+    assert np.max(np.abs(hd - fd)) <= 1e-6 * (1.0 + np.max(np.abs(fd)))
 
 
 # parser-shaped trees: the parser reads literals without a sign, so every

@@ -22,6 +22,7 @@ from fracvar import (
     solve_isoperimetric,
 )
 
+import fracvar.solve as solve_module
 from helpers import random_smooth_samples
 
 ISO_CFG = SolveConfig(max_iters=8000, grad_tol=1e-6)
@@ -116,7 +117,8 @@ def test_mixed_channels_converge():
 
 def test_log_lagrangian_without_pins(grid64):
     # no pin and no u channel: the node-0 continuation leaves H singular by
-    # one, so the Newton step needs the diagonal shift
+    # one; CG, with node 0 given node 1's preconditioner weight, still
+    # solves the consistent system
     p = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian="v^2 - log(v + 2)")
     report = minimize(p, grid64)
     assert report.converged
@@ -135,6 +137,73 @@ def test_trial_point_outside_domain_is_rejected(grid64):
     v = build_left_rlfd(grid64, 0.5).apply(report.y.values)
     # 2(v - 3) + 1/(2 - v) = 0 on the branch v < 2
     assert np.max(np.abs(v[1:] - (5.0 - math.sqrt(3.0)) / 2.0)) <= 1e-6
+
+
+def test_negative_curvature_start_takes_the_truncated_step(grid64):
+    # (v^2 - 1)^2 is concave in v near v = 0, where the start sits: CG
+    # stops at the first direction of negative curvature, which still
+    # descends, and Newton then converges to the well at v = 1
+    p = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian="(v^2 - 1)^2",
+                   pins=(0.0, None))
+    report = minimize(p, grid64, y0=0.1 * np.sqrt(grid64.nodes))
+    assert report.converged
+    assert report.iters <= 10
+    assert np.all(np.diff(report.history[:, 0]) <= 0.0)
+    v = build_left_rlfd(grid64, 0.5).apply(report.y.values)
+    assert np.max(np.abs(v[1:] - 1.0)) <= 1e-6
+
+
+def test_large_grid_one_newton_step():
+    # a dense Hessian here would take 8 GiB; acceptance 05's oracle at
+    # N = 32768, with one Newton step of one CG iteration
+    g = Grid(0.0, 1.0, 32768)
+    report = minimize(quad_problem(), g)
+    assert report.converged
+    assert report.iters == 1
+    assert report.linear_iters == 1
+    assert report.J <= 1e-6
+    I_y = build_left_rlfi(g, 0.5).apply(report.y.values)
+    assert np.max(np.abs(I_y - g.nodes)) <= 2e-2
+
+
+@pytest.mark.parametrize("lagrangian, pins, per_step", [
+    ("(v - 1)^2", (0.0, None), 1),
+    ("(v - 1)^2", (0.0, 0.0), 2),
+    ("(u - x)^2", (0.0, None), 1),
+    ("v^2 + u*v + x*u + u^2", None, 10),
+], ids=["v-left", "v-both", "u-only", "mixed"])
+def test_cg_iterations_do_not_grow_with_n(lagrangian, pins, per_step):
+    p = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian=lagrangian, pins=pins)
+    for n in (64, 2048):
+        report = minimize(p, Grid(0.0, 1.0, n))
+        assert report.converged and report.iters == 1
+        assert report.linear_iters <= per_step, n
+
+
+@pytest.mark.parametrize("case, cfg, reason", [
+    ("quadratic", SolveConfig(), "converged"),
+    ("quartic", SolveConfig(max_iters=3, grad_tol=1e-14), "max_iters"),
+    ("abnormal", ISO_CFG, "degenerate_constraint"),
+])
+def test_stop_reason(grid64, case, cfg, reason):
+    problems = {
+        "quadratic": quad_problem(),
+        "quartic": VarProblem(0.0, 1.0, alphas=0.5, betas=0.5,
+                              lagrangian="(v - 1)^2 + v^4", pins=(0.0, None)),
+        # y = 0 is an extremal of the constraint functional
+        "abnormal": VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian="v^2 + v",
+                               constraint=Constraint("v^2", 0.0), pins=(0.0, None)),
+    }
+    p = problems[case]
+    if p.constraint is None:
+        report = minimize(p, grid64, cfg)
+    else:
+        with pytest.warns(RuntimeWarning):
+            report = solve_isoperimetric(p, grid64, cfg, y0=np.zeros(grid64.n_nodes))
+    assert report.stop_reason == reason
+    assert report.converged == (reason == "converged")
+    # one CG iteration at least per Newton step
+    assert report.iters <= report.linear_iters <= report.iters * grid64.n_cells
 
 
 def test_persample_overflow_surfaces_from_expressions(grid64):
@@ -211,40 +280,59 @@ def two_unknown_problem():
 def test_hessian_matches_gradient_differences():
     p = two_unknown_problem()
     g = Grid(0.0, 1.0, 32)
-    n = g.n_cells
     x = g.nodes
     Y = np.array([np.sin(2.0 * x) + x, 0.5 * np.cos(3.0 * x)])
     Y[0, 0] = 0.0
-    free = (slice(1, n + 1), slice(0, n + 1))
+    free = np.ones(Y.shape, dtype=bool)
+    free[0, 0] = False
     dp = assemble(p, g)
-    H = dp.hessian(dp.curvature(dp.channels(Y)), free)
-    assert H.shape == (2 * n + 1, 2 * n + 1)
-    assert np.max(np.abs(H - H.T)) <= 1e-12 * np.max(np.abs(H))
+    curv = dp.curvature(dp.channels(Y))
     rng = np.random.default_rng(59)
     D = rng.standard_normal(Y.shape)
     D[0, 0] = 0.0
+    Hd = dp.hessian_product(curv, D)
+    assert Hd.shape == Y.shape
     eps = 1e-5
     fd = (gradient(p, Y + eps * D, g) - gradient(p, Y - eps * D, g)) / (2.0 * eps)
-    fd_free = np.concatenate((fd[0, 1:], fd[1]))
-    Hd = H @ np.concatenate((D[0, 1:], D[1]))
-    assert np.max(np.abs(Hd - fd_free)) <= 1e-8 * np.max(np.abs(fd_free))
+    assert np.max(np.abs(Hd[free] - fd[free])) <= 1e-8 * np.max(np.abs(fd[free]))
+    # symmetry: e^T (H d) = d^T (H e)
+    E = rng.standard_normal(Y.shape)
+    E[0, 0] = 0.0
+    He = dp.hessian_product(curv, E)
+    scale = float(np.abs(E).ravel() @ np.abs(Hd).ravel())
+    assert abs(np.vdot(E, Hd) - np.vdot(D, He)) <= 1e-12 * scale
 
 
-
-def test_hessian_builds_only_curved_tables():
-    # (v - 1)^2 has curvature in v alone; the integral channel's dense
-    # table must stay unbuilt, and H is 2 D^T W D on the free columns
+def test_hessian_builds_only_curved_tables(monkeypatch):
+    # (v - 1)^2 has curvature in v alone: H d is 2 D^T W D d on the free
+    # nodes, and neither the product nor the solvers build a dense table
     p = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian="(v - 1)^2")
     g = Grid(0.0, 1.0, 64)
     dp = assemble(p, g)
     Y = np.sqrt(g.nodes)[None, :]
-    H = dp.hessian(dp.curvature(dp.channels(Y)), (slice(1, g.n_nodes),))
-    assert "coeffs" not in dp.maps[0][0].__dict__
+    d = np.random.default_rng(61).standard_normal(g.n_nodes)
+    d[0] = 0.0
+    Hd = dp.hessian_product(dp.curvature(dp.channels(Y)), d[None, :])[0]
+    assert all("coeffs" not in op.__dict__ for m in dp.maps for op in m[:2])
     D = dp.maps[1][0].coeffs[:, 1:]
     ws = 2.0 * g.quad_weights
     ws[1] += ws[0]
     ws[0] = 0.0
-    assert np.allclose(H, D.T @ (ws[:, None] * D), rtol=1e-13, atol=0.0)
+    assert np.allclose(Hd[1:], D.T @ (ws * (D @ d[1:])), rtol=1e-13, atol=0.0)
+
+    assembled = []
+
+    def recording(problem, grid):
+        assembled.append(assemble(problem, grid))
+        return assembled[-1]
+
+    monkeypatch.setattr(solve_module, "assemble", recording)
+    assert minimize(quad_problem(), g).converged
+    assert solve_isoperimetric(iso_problem(1.0), g).converged
+    assert len(assembled) == 3
+    assert all("coeffs" not in op.__dict__
+               for dp in assembled for m in dp.maps for op in m[:2])
+
 
 def test_minimize_two_unknowns_two_orders():
     p = two_unknown_problem()
@@ -276,10 +364,13 @@ def test_iso_lambda_minus_two(grid256):
 
 
 def test_iso_default_config(grid64):
-    # one KKT Newton step; no loosened tolerances needed
+    # one range-space KKT Newton step; grad J vanishes at the zero start,
+    # so H x = -grad J takes no CG iteration and H z = grad C one.  No
+    # loosened tolerances needed
     report = solve_isoperimetric(iso_problem(1.0), grid64)
     assert report.converged
     assert report.iters == 1
+    assert report.linear_iters == 1
     assert report.lam == pytest.approx(-2.0, abs=1e-2)
     assert report.residual_norm <= SolveConfig().grad_tol
 

@@ -50,6 +50,7 @@ VARIANTS = {
     "pins-two-unknowns": (
         "functional_zero", {"unknowns": 2, "lagrangian": "v1^2 + v2^2 + u1*u2",
                             "candidate": ["x", "x^2"]}, []),
+    "interval-infinite": ("solve_quadratic", {"interval": {"a": -math.inf, "b": 1.0}}, []),
     "tiny-alpha": ("el_residual_extremal", {"orders": {"alpha": 1e-17, "beta": 0.5}}, []),
     "n-cells-0": ("solve_quadratic", {}, ["--n-cells", "0"]),
     "n-cells-32": ("el_residual_extremal", {}, ["--n-cells", "32"]),
