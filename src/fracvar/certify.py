@@ -279,23 +279,16 @@ class FieldReport:
     inconclusive: tuple[tuple[float, float], ...] = ()
 
 
-def check_field(L, field: ExactField, grid_2d=21) -> FieldReport:
-    """Sample the two field identities on the field's box.
+def check_field(L, field: ExactField) -> FieldReport:
+    """Sample the two field identities on a 21 x 21 grid over the field's box.
 
-    grid_2d is the sample count per axis (int or (nx, ny) pair).  Passes
-    when the larger identity residual stays within 1e-8 at every
+    Passes when the larger identity residual stays within 1e-8 at every
     conclusive sample point.  L may use only x, u and v (ValueError
     otherwise).
     """
     L = _lagrangian(L)
-    if isinstance(grid_2d, int):
-        nx = ny = grid_2d
-    else:
-        nx, ny = (int(v) for v in grid_2d)
-    if nx < 2 or ny < 2:
-        raise ValueError(f"grid_2d needs at least 2 samples per axis, got {grid_2d}")
     (xlo, xhi), (ylo, yhi) = field.box
-    X, Y = np.meshgrid(np.linspace(xlo, xhi, nx), np.linspace(ylo, yhi, ny),
+    X, Y = np.meshgrid(np.linspace(xlo, xhi, 21), np.linspace(ylo, yhi, 21),
                        indexing="ij")
     inconclusive: list = []
     env_xy = {"x": X, "y": Y}

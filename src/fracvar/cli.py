@@ -351,6 +351,8 @@ def _run_solve(cfg: dict, out_dir: Path):
         "constraint_gap": report.constraint_gap,
         "iters": report.iters,
         "converged": report.converged,
+        "stop_reason": report.stop_reason,
+        "linear_iters": report.linear_iters,
     }
     return summary, 0 if report.converged else 4
 
@@ -469,8 +471,7 @@ _SECTIONS = {
                "s": (_expr_str, _REQUIRED)}, None),
     "grid": ({"n_cells": (_integer, _REQUIRED)}, _REQUIRED),
     "solver": ({"max_iters": (_integer, SolveConfig.max_iters),
-                "grad_tol": (_positive, SolveConfig.grad_tol),
-                "step_init": (_positive, SolveConfig.step_init)}, {}),
+                "grad_tol": (_positive, SolveConfig.grad_tol)}, {}),
     "pins": (_pins_spec, None),
     "task": (_one_of(_TASKS), _REQUIRED),
     "candidate": (_candidates, None),

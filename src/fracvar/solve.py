@@ -5,9 +5,9 @@ values never move.  Each step solves H d = -g by matrix-free
 preconditioned CG (DiscreteProblem.hessian_product and .preconditioner),
 truncated at the first direction of nonpositive curvature for nonconvex
 L (Steihaug 1983), so every step is a descent direction (_pcg).
-Armijo backtracking starts every line search at step_init, so the J
-history is nonincreasing; a trial point outside the Lagrangian's domain
-counts as a rejected step.
+Armijo backtracking halves the step from the full Newton step, so the J
+history is nonincreasing; it rejects a trial point where the next step
+cannot be formed (outside L's domain, or with a non-finite gradient).
 
 solve_isoperimetric runs equality-constrained Newton on the bordered system
 
@@ -36,8 +36,13 @@ from .problems import VarProblem, assemble, _normalize_samples
 
 __all__ = ["SolveConfig", "SolveReport", "gradient", "minimize", "solve_isoperimetric"]
 
-# a line search gives up below this step
+# line searches try t = _FIRST_STEP * _SHRINK^k >= _MIN_STEP (Armijo 1966)
+_FIRST_STEP = 1.0
+_SHRINK = 0.5
 _MIN_STEP = 1e-18
+_ARMIJO_C = 1e-4
+# solve_isoperimetric converges only once |C - ell| is at most this
+_GAP_TOL = 1e-3
 # a constraint gradient at or below this weighted norm is treated as zero,
 # and so is grad C^T z at or below this fraction of |grad C| |z|
 _ABNORMAL_TOL = 1e-10
@@ -48,35 +53,24 @@ _CG_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Newton and line-search parameters.
+    """Newton stopping parameters.
 
-    grad_tol bounds the weighted residual norm on free nodes (of the
-    multiplier-augmented problem in the isoperimetric mode), multiplier_tol
-    the constraint gap, and step_init is the first trial step of each line
-    search.
+    max_iters bounds the Newton steps; grad_tol bounds the weighted
+    residual norm on free nodes (of the multiplier-augmented problem in
+    the isoperimetric mode).
     """
 
     max_iters: int = 5000
     grad_tol: float = 1e-8
-    step_init: float = 1.0
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
-    multiplier_tol: float = 1e-3
 
     def __post_init__(self) -> None:
         if int(self.max_iters) < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
         object.__setattr__(self, "max_iters", int(self.max_iters))
-        for name in ("grad_tol", "step_init", "multiplier_tol"):
-            val = float(getattr(self, name))
-            if not val > 0:
-                raise ValueError(f"{name} must be positive, got {val}")
-            object.__setattr__(self, name, val)
-        for name in ("armijo_c", "armijo_shrink"):
-            val = float(getattr(self, name))
-            if not 0 < val < 1:
-                raise ValueError(f"{name} must lie in (0, 1), got {val}")
-            object.__setattr__(self, name, val)
+        grad_tol = float(self.grad_tol)
+        if not grad_tol > 0:
+            raise ValueError(f"grad_tol must be positive, got {grad_tol}")
+        object.__setattr__(self, "grad_tol", grad_tol)
 
 
 @dataclass(frozen=True)
@@ -197,11 +191,12 @@ def _shifted(base, step, t):
     return [a + t * b for a, b in zip(base, step)]
 
 
-def _backtrack(cfg: SolveConfig, trial):
-    """Armijo backtracking from step_init: the first (t, trial(t)) that is
-    not None, or (None, None) once t drops below _MIN_STEP.  A trial point
-    outside the Lagrangian's domain counts as rejected."""
-    t = cfg.step_init
+def _backtrack(trial):
+    """Backtracking from the full step: the first (t, trial(t)) that is not
+    None for t = 1, 1/2, 1/4, ..., or (None, None) once t drops below
+    _MIN_STEP.  A trial point outside the Lagrangian's domain counts as
+    rejected."""
+    t = _FIRST_STEP
     while t >= _MIN_STEP:
         try:
             out = trial(t)
@@ -209,7 +204,7 @@ def _backtrack(cfg: SolveConfig, trial):
             out = None
         if out is not None:
             return t, out
-        t *= cfg.armijo_shrink
+        t *= _SHRINK
     return None, None
 
 
@@ -223,8 +218,9 @@ def minimize(
 
     Pinned entries of y0 are overwritten with the pin values; the default
     start interpolates linearly through the pins (zero at unpinned ends).
-    An ExprDomainError at the starting point propagates; hitting max_iters
-    or a stalled line search sets converged=False without raising.
+    An ExprDomainError or a non-finite J or gradient at the starting point
+    raises; the line search accepts only points where the next step can be
+    formed, so max_iters or a stalled line search ends the solve unraised.
     """
     if problem.constraint is not None:
         raise ValueError("minimize handles unconstrained problems; "
@@ -237,15 +233,14 @@ def minimize(
     Y = _start(problem, grid, y0)
     c = dp.channels(Y)
     J = dp.functional_value(L, c)
+    r = dp._residual_from(c)
+    g = w * r * mask
+    if not np.isfinite(J) or not np.all(np.isfinite(g)):
+        raise ArithmeticError("non-finite functional value or gradient at iteration 0")
+    curv = dp.curvature(c)
     history = []
     iters = linear_iters = 0
     while True:
-        r = dp._residual_from(c)
-        g = w * r * mask
-        if not np.isfinite(J) or not np.all(np.isfinite(g)):
-            raise ArithmeticError(
-                f"non-finite functional value or gradient at iteration {iters}"
-            )
         norm = weighted_norm(grid, r * mask)
         history.append((J, norm))
         if norm <= cfg.grad_tol:
@@ -254,7 +249,7 @@ def minimize(
         if iters >= cfg.max_iters:
             stop = "max_iters"
             break
-        D, n_cg = _pcg(dp, dp.curvature(c), mask, -g)
+        D, n_cg = _pcg(dp, curv, mask, -g)
         linear_iters += n_cg
         dc = dp.channels(D)
         slope = float(np.vdot(g, D))
@@ -262,16 +257,21 @@ def minimize(
         def trial(t):
             c_t = _shifted(c, dc, t)
             J_t = dp.functional_value(L, c_t)
-            if np.isfinite(J_t) and J_t <= J + cfg.armijo_c * t * slope:
-                return c_t, J_t
-            return None
+            if not (np.isfinite(J_t) and J_t <= J + _ARMIJO_C * t * slope):
+                return None
+            # the next Newton step needs a finite gradient and the curvature
+            r_t = dp._residual_from(c_t)
+            g_t = w * r_t * mask
+            if not np.all(np.isfinite(g_t)):
+                return None
+            return c_t, J_t, r_t, g_t, dp.curvature(c_t)
 
-        t, accepted = _backtrack(cfg, trial)
+        t, accepted = _backtrack(trial)
         if t is None:
             stop = "line_search_stalled"
             break
         Y = Y + t * D
-        c, J = accepted
+        c, J, r, g, curv = accepted
         iters += 1
     return SolveReport(
         y=_pack_y(grid, Y),
@@ -297,11 +297,11 @@ def solve_isoperimetric(
 
     Starts from lam = 0 and updates y and lam together.  Converged means
     the augmented residual is at most grad_tol and the constraint gap at
-    most multiplier_tol.  A numerically zero constraint gradient, or a
-    singular bordered matrix (grad C^T H^-1 grad C ~ 0), at any iterate
-    signals the abnormal case, in which the candidate may be an extremal
-    of the constraint functional itself; it is reported with a
-    RuntimeWarning and lam=None, not solved.
+    most 1e-3.  As in minimize, only the starting point can raise.  A
+    numerically zero constraint gradient, or a singular bordered matrix
+    (grad C^T H^-1 grad C ~ 0), at any iterate signals the abnormal case,
+    in which the candidate may be an extremal of the constraint functional
+    itself; it is reported with a RuntimeWarning and lam=None, not solved.
     """
     if problem.constraint is None:
         raise ValueError("solve_isoperimetric requires a problem with a constraint")
@@ -328,27 +328,26 @@ def solve_isoperimetric(
     c = dp.channels(Y)
     lam = 0.0
     J, gap, r_J, r_C = state(c)
+    if not np.isfinite(J + gap) or not np.all(np.isfinite(r_J + lam * r_C)):
+        raise ArithmeticError("non-finite functional value or gradient at iteration 0")
+    curv_J, curv_C = dp.curvature(c), dp_con.curvature(c)
     history = []
     iters = linear_iters = 0
     while True:
         r = r_J + lam * r_C
-        if not np.isfinite(J + gap) or not np.all(np.isfinite(r)):
-            raise ArithmeticError(
-                f"non-finite functional value or gradient at iteration {iters}"
-            )
         norm = weighted_norm(grid, r * mask)
         history.append((J, norm))
         if weighted_norm(grid, r_C * mask) <= _ABNORMAL_TOL:
             stop = "degenerate_constraint"
             break
-        if norm <= cfg.grad_tol and abs(gap) <= cfg.multiplier_tol:
+        if norm <= cfg.grad_tol and abs(gap) <= _GAP_TOL:
             stop = "converged"
             break
         if iters >= cfg.max_iters:
             stop = "max_iters"
             break
-        curv = dp.curvature(c)
-        for key, s in dp_con.curvature(c).items():
+        curv = dict(curv_J)
+        for key, s in curv_C.items():
             curv[key] = curv[key] + lam * s if key in curv else lam * s
         gC = w * r_C * mask
         x, n_x = _pcg(dp, curv, mask, -w * r_J * mask)
@@ -368,16 +367,20 @@ def solve_isoperimetric(
             c_t = _shifted(c, dc, t)
             J_t, gap_t, r_J_t, r_C_t = state(c_t)
             m_t = merit(gap_t, r_J_t, r_C_t, lam_t)
-            if np.isfinite(m_t) and m_t <= (1.0 - 2.0 * cfg.armijo_c * t) * m0:
-                return c_t, lam_t, J_t, gap_t, r_J_t, r_C_t
-            return None
+            if not (np.isfinite(m_t) and m_t <= (1.0 - 2.0 * _ARMIJO_C * t) * m0):
+                return None
+            # the next Newton step needs finite values and the curvatures
+            if not (np.isfinite(J_t + gap_t) and np.all(np.isfinite(r_J_t + lam_t * r_C_t))):
+                return None
+            return (c_t, lam_t, J_t, gap_t, r_J_t, r_C_t,
+                    dp.curvature(c_t), dp_con.curvature(c_t))
 
-        t, accepted = _backtrack(cfg, trial)
+        t, accepted = _backtrack(trial)
         if t is None:
             stop = "line_search_stalled"
             break
         Y = Y + t * D
-        c, lam, J, gap, r_J, r_C = accepted
+        c, lam, J, gap, r_J, r_C, curv_J, curv_C = accepted
         iters += 1
 
     abnormal = stop == "degenerate_constraint"

@@ -146,6 +146,17 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_solver_step_init_exits_2(tmp_path, capsys):
+    # every line search starts at the full Newton step; the setting is gone
+    doc = base_solve_doc(solver={"step_init": 0.5})
+    rc = main(["run", write_problem(tmp_path / "p.json", doc),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "fracvar: invalid problem file: solver: unknown key(s) ['step_init'];"
+        " allowed: ['grad_tol', 'max_iters']\n")
+
+
 def test_missing_required_key_exits_2(tmp_path, capsys):
     doc = base_solve_doc()
     del doc["lagrangian"]
@@ -316,7 +327,8 @@ def eval_op_doc(kind):
 
 
 SUMMARY_BASE = {"task", "config", "input_sha256", "summary_hash", "timings"}
-SOLVE_KEYS = {"J", "residual_norm", "lambda", "constraint_gap", "iters", "converged"}
+SOLVE_KEYS = {"J", "residual_norm", "lambda", "constraint_gap", "iters", "converged",
+              "stop_reason", "linear_iters"}
 CONVEX_KEYS = {"convex", "box", "samples_per_axis", "inconclusive_points"}
 NODES_1 = ["x", "y", "I_y", "D_y"]
 NODES_MULTI = ["x", "y1", "y2", "u1", "u2", "u3", "u4", "v1", "v2"]

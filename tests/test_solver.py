@@ -139,6 +139,58 @@ def test_trial_point_outside_domain_is_rejected(grid64):
     assert np.max(np.abs(v[1:] - (5.0 - math.sqrt(3.0)) / 2.0)) <= 1e-6
 
 
+@pytest.mark.parametrize("lagrangian, scale", [
+    # the first line search reaches a point where v = 0 at a node: J is
+    # defined there, the residual's 1/(2 sqrt(v)) is not
+    ("sqrt(v) - v", 1e-30),
+    # the 25th line search reaches |v| > 1e77 at node 0, where J and the
+    # residual are finite but the v^4 in the curvature overflows
+    ("log(v) + 1/v - v", 1e-3),
+], ids=["residual", "curvature"])
+def test_line_search_rejects_points_without_a_next_step(lagrangian, scale):
+    # both problems are unbounded below: the solve ends unconverged at a
+    # point where the Newton step can still be formed, instead of raising
+    grid = Grid(0.0, 1.0, 32)
+    p = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian=lagrangian,
+                   pins=(0.0, None))
+    y0 = scale * np.sqrt(grid.nodes) / gamma(1.5)
+    report = minimize(p, grid, SolveConfig(max_iters=100), y0=y0)
+    assert report.stop_reason in {"max_iters", "line_search_stalled"}
+    assert np.all(np.isfinite(report.history))
+    assert np.all(np.diff(report.history[:, 0]) <= 0.0)
+
+
+def test_backtrack_gives_up_after_sixty_halvings():
+    steps = []
+
+    def trial(t):
+        steps.append(t)
+        return None
+
+    assert solve_module._backtrack(trial) == (None, None)
+    assert steps == [2.0**-k for k in range(60)]
+
+
+def test_backtrack_counts_a_domain_error_as_rejected():
+    def trial(t):
+        if t > 0.3:
+            raise ExprDomainError("division by zero", "1/v", 0)
+        return "ok"
+
+    assert solve_module._backtrack(trial) == (0.25, "ok")
+
+
+def test_backtrack_returns_the_first_accepted_step():
+    steps = []
+
+    def trial(t):
+        steps.append(t)
+        return ("value", t) if t <= 0.2 else None
+
+    assert solve_module._backtrack(trial) == (0.125, ("value", 0.125))
+    assert steps == [1.0, 0.5, 0.25, 0.125]
+
+
 def test_negative_curvature_start_takes_the_truncated_step(grid64):
     # (v^2 - 1)^2 is concave in v near v = 0, where the start sits: CG
     # stops at the first direction of negative curvature, which still
@@ -396,7 +448,8 @@ def test_iso_converged_implies_invariants(grid64):
     report = solve_isoperimetric(iso_problem(1.0), grid64, ISO_CFG)
     assert report.converged
     assert report.residual_norm <= ISO_CFG.grad_tol
-    assert abs(report.constraint_gap) <= ISO_CFG.multiplier_tol
+    assert solve_module._GAP_TOL == 1e-3
+    assert abs(report.constraint_gap) <= solve_module._GAP_TOL
 
 
 def test_iso_residual_of_augmented_problem(grid64):
@@ -444,10 +497,10 @@ def test_iso_requires_constraint(grid64):
 def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(max_iters=-1)
-    with pytest.raises(ValueError):
-        SolveConfig(armijo_c=1.5)
-    with pytest.raises(ValueError):
-        SolveConfig(armijo_shrink=0.0)
+    # the line-search settings and the gap tolerance are constants now
+    for name in ("step_init", "armijo_c", "armijo_shrink", "multiplier_tol"):
+        with pytest.raises(TypeError):
+            SolveConfig(**{name: 0.5})
 
 
 @pytest.mark.parametrize("mixed, indexed", [

@@ -54,6 +54,7 @@ VARIANTS = {
     "tiny-alpha": ("el_residual_extremal", {"orders": {"alpha": 1e-17, "beta": 0.5}}, []),
     "n-cells-0": ("solve_quadratic", {}, ["--n-cells", "0"]),
     "n-cells-32": ("el_residual_extremal", {}, ["--n-cells", "32"]),
+    "solver-step-init": ("solve_quadratic", {"solver": {"step_init": 0.5}}, []),
     "no-converge": (
         "solve_quadratic", {"lagrangian": "(v - 1)^2 + v^4",
                             "solver": {"max_iters": 3, "grad_tol": 1e-14}}, []),
