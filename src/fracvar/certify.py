@@ -355,7 +355,7 @@ def _field_trajectory(L, field: ExactField, y0, alpha, grid: Grid):
     a_val = alpha.value if hasattr(alpha, "value") else float(alpha)
     p = VarProblem(grid.a, grid.b, alphas=(a_val,), betas=(a_val,), lagrangian=L)
     dp = assemble(p, grid)
-    u, v = dp.channels(_normalize_samples(p, grid, y0))
+    u, v = dp.channels(_normalize_samples(p, grid, y0), every=True)
     x = grid.nodes
     w = grid.quad_weights
     sl = grid.interior()

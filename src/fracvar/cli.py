@@ -287,7 +287,7 @@ def _nodes_table(
         unknowns = range(1, dp.problem.n_unknowns + 1)
         header = ["x", *(f"y{k}" for k in unknowns), *dp.names]
         rs = [f"r{k}" for k in unknowns]
-    columns = [dp.grid.nodes] + list(Y) + dp.channels(Y)
+    columns = [dp.grid.nodes] + list(Y) + dp.channels(Y, every=True)
     if residual is not None:
         header += rs
         columns += list(np.atleast_2d(residual))

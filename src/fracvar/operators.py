@@ -32,7 +32,10 @@ O(N^2).  Beyond that it follows the triangular-Toeplitz block scheme of
 Hairer, Lubich and Schlichte (1985): the diagonal triangles of _LEAF rows
 are direct convolutions, and the below-diagonal squares of a dyadic
 splitting (side s = _LEAF, 2 _LEAF, ...) go through one batched FFT of
-size 2s per level, O(N log^2 N) time and O(N) memory in all.  Causality
+size 2s per level, O(N log^2 N) time and O(N) memory in all.  The
+kernel's transform at each level is computed on an operator's first
+apply and kept with it, shared with its adjoint (build_right_adjoint),
+so every later apply of either reuses it.  Causality
 stays exact: each square is transformed on its own (a batched FFT shares
 no arithmetic between rows) and its rows lie strictly after its columns,
 and a direct convolution reads only the samples at or before each
@@ -125,7 +128,9 @@ class FracOperator:
     Storage is O(N).  apply is one lower-triangular Toeplitz matvec
     (_lower_toeplitz) plus O(N) endpoint work: a direct convolution up to
     _LEAF cells, the block-FFT scheme beyond, O(N log^2 N) time; exactly
-    causal for left kinds at every N.  The dense table coeffs is built
+    causal for left kinds at every N.  _spectra keeps the kernel's
+    per-level transforms from the first block-FFT apply on; an adjoint
+    shares its left operator's dict.  The dense table coeffs is built
     only when first read (by tests; the library never reads it), then
     cached.  Construct operators through the build_* functions.
     """
@@ -136,6 +141,7 @@ class FracOperator:
     _kernel: np.ndarray = field(repr=False)
     _col0: np.ndarray = field(repr=False)
     _form: str = "left"
+    _spectra: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         n = self.grid.n_cells + 1
@@ -179,7 +185,7 @@ class FracOperator:
         # L f is f[0] * _col0 plus the Toeplitz part on columns 1..N,
         # shifted down one row
         out = self._col0 * f[0]
-        out[1:] += _lower_toeplitz(self._kernel, f[1:])
+        out[1:] += _lower_toeplitz(self._kernel, f[1:], self._spectra)
         return out
 
     def _lower_transposed(self, q: np.ndarray) -> np.ndarray:
@@ -187,7 +193,7 @@ class FracOperator:
         # reversed input, reversed back
         out = np.empty(self.grid.n_cells + 1)
         out[0] = self._col0 @ q
-        out[1:] = _lower_toeplitz(self._kernel, q[:0:-1])[::-1]
+        out[1:] = _lower_toeplitz(self._kernel, q[:0:-1], self._spectra)[::-1]
         return out
 
     @cached_property
@@ -248,7 +254,7 @@ class FracOperator:
 _LEAF = 512
 
 
-def _lower_toeplitz(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _lower_toeplitz(t: np.ndarray, x: np.ndarray, spectra: dict | None = None) -> np.ndarray:
     """y[i] = sum_{j <= i} t[i - j] x[j] for i < n = len(x); t has >= n lags.
 
     Hairer-Lubich-Schlichte block scheme: the diagonal triangles of _LEAF
@@ -258,6 +264,10 @@ def _lower_toeplitz(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     Every (row, column) pair below the diagonal triangles lies in exactly
     one square: the level of the highest bit where their leaf indices
     differ.
+
+    spectra, if given, is a dict the caller keeps for t: it maps (n, s)
+    to the transform of t's lags at level s, filled on first use and read
+    by later calls.  Reading the same rfft output changes no bit of y.
     """
     n = x.size
     if n <= _LEAF:
@@ -266,17 +276,22 @@ def _lower_toeplitz(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     size = _LEAF << (-(-n // _LEAF) - 1).bit_length()
     cols = np.zeros(size)
     cols[:n] = x
-    lags = np.zeros(size)
-    lags[: n - 1] = t[1:n]  # lags[m] = t[m + 1]
     y = np.zeros(size)
     for lo in range(0, n, _LEAF):
         m = min(_LEAF, n - lo)
         y[lo : lo + m] = np.convolve(t[:m], x[lo : lo + m])[:m]
+    spectra = {} if spectra is None else spectra
     s = _LEAF
     while s < n:
+        if (n, s) not in spectra:
+            # lags 1..2s-1 of t; those at n or beyond reach no row below n
+            lags = np.zeros(2 * s - 1)
+            m = min(2 * s, n) - 1
+            lags[:m] = t[1 : m + 1]
+            spectra[n, s] = np.fft.rfft(lags, 2 * s)
         q = (n - s - 1) // (2 * s) + 1  # squares whose rows start before n
         blocks = cols[: 2 * q * s].reshape(q, 2 * s)[:, :s]
-        spec = np.fft.rfft(blocks, 2 * s) * np.fft.rfft(lags[: 2 * s - 1], 2 * s)
+        spec = np.fft.rfft(blocks, 2 * s) * spectra[n, s]
         # row r of a square is entry s - 1 + r of the linear convolution;
         # the circular wrap lands on entries below s - 1 only
         y[: 2 * q * s].reshape(q, 2 * s)[:, s:] += np.fft.irfft(spec, 2 * s)[:, s - 1 : -1]
@@ -326,7 +341,8 @@ def build_right_adjoint(op: FracOperator) -> FracOperator:
     if not op.kind.is_left:
         raise ValueError(f"adjoint construction expects a left operator, got {op.kind}")
     return FracOperator(
-        _RIGHT_KIND[op.kind], op.order, op.grid, op._kernel, op._col0, "adjoint"
+        _RIGHT_KIND[op.kind], op.order, op.grid, op._kernel, op._col0, "adjoint",
+        op._spectra,
     )
 
 

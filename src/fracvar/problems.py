@@ -19,6 +19,12 @@ DiscreteProblem keeps the channels as one list in this order, the u
 channels and then the v channels.  The two kinds differ only in their
 operator and in the node-0 continuation of the v channels (below).
 
+A channel is live when the Lagrangian or the constraint reads it (through
+its indexed name or its alias).  DiscreteProblem builds the operators of
+live channels only and applies only those in the functional, residual,
+Hessian and solver paths; the other channels are None there, and so is
+the partial of L with respect to any channel L does not read.
+
 Endpoint policy: the derivative channel's value at the first node is the
 raw scheme value h^-beta * y_0, which is meaningless when y(a) != 0 (the
 Riemann-Liouville derivative is unbounded at the left endpoint there) and
@@ -244,12 +250,16 @@ class DiscreteProblem:
 
     Exposes the channel maps (linear), the functional, the residual, the
     exact gradient, the exact Hessian product and its preconditioner; the
-    solver drives everything through this object.  maps, names and
+    solver drives everything through this object.  names, live and
     partials hold one entry per channel, in the order of the module
-    docstring: the u channels, then the v channels.  A map is (left
-    operator, its quadrature adjoint, unknown index, whether node 0
-    continues node 1).  Channel lists (from channels; into env,
-    functional_value and curvature) follow that order.
+    docstring: the u channels, then the v channels.  live[a] tells
+    whether L or the constraint reads channel a; partials[a] is dL/da, or
+    None where L does not read a.  A map is (left operator, its
+    quadrature adjoint, unknown index, whether node 0 continues node 1);
+    the operators of live channels are built here, one pair per order,
+    and the others only when maps is read.  Channel lists (from channels;
+    into env, functional_value and curvature) follow the channel order,
+    with None for channels that are not live.
     """
 
     def __init__(self, problem: VarProblem, grid: Grid):
@@ -262,39 +272,67 @@ class DiscreteProblem:
             )
         self.problem = problem
         self.grid = grid
-        # integral channels carry the complementary order 1 - alpha; the
-        # derivative channels are continued at node 0
-        left = [(build_left_rlfi(grid, 1.0 - a.value), False) for a in problem.alphas]
-        left += [(build_left_rlfd(grid, b.value), True) for b in problem.betas]
-        maps = []
-        for op, continued in left:
-            adjoint = build_right_adjoint(op)
-            maps += [(op, adjoint, k, continued) for k in range(problem.n_unknowns)]
-        self.maps = tuple(maps)
         self.names = problem.u_names() + problem.v_names()
         # the aliases u and v name channel 1 of their kind, so L mixing both
         # spellings differentiates by the indexed names alone
         self._aliases = tuple(a for a in "uv" if a in problem.allowed_vars())
         L = _rename(problem.lagrangian, {"u": "u1", "v": "v1"})
-        self.partials = tuple(differentiate(L, name) for name in self.names)
+        read = free_vars(L)
+        live = set(read)
+        if problem.constraint is not None:
+            live |= free_vars(_rename(problem.constraint.g, {"u": "u1", "v": "v1"}))
+        self.live = tuple(name in live for name in self.names)
+        partials = (differentiate(L, name) if name in read else None for name in self.names)
+        self.partials = tuple(None if e == Num(0.0) else e for e in partials)
+        # integral channels carry the complementary order 1 - alpha; the
+        # derivative channels are continued at node 0.  Channel a is order
+        # a // K of this list applied to unknown a % K.
+        self._orders = [(build_left_rlfi, 1.0 - a.value, False) for a in problem.alphas]
+        self._orders += [(build_left_rlfd, b.value, True) for b in problem.betas]
+        self._operators = {}
+        for a, is_live in enumerate(self.live):
+            if is_live:
+                self._map(a)
 
     # -- channel maps ------------------------------------------------------
 
-    def channels(self, Y: np.ndarray) -> list[np.ndarray]:
-        """The channels of Y: integral, then (endpoint-continued) derivative."""
-        return [self._channel(Y, a) for a in range(len(self.maps))]
+    def _map(self, a: int) -> tuple[FracOperator, FracOperator, int, bool]:
+        """Channel a's map; its order's operator and adjoint are built on
+        first use and shared by the channels of that order."""
+        i, k = divmod(a, self.problem.n_unknowns)
+        if i not in self._operators:
+            build, order, continued = self._orders[i]
+            op = build(self.grid, order)
+            self._operators[i] = (op, build_right_adjoint(op), continued)
+        op, adjoint, continued = self._operators[i]
+        return op, adjoint, k, continued
+
+    @property
+    def maps(self) -> tuple[tuple[FracOperator, FracOperator, int, bool], ...]:
+        """One map per channel; reading it builds every channel's operators."""
+        return tuple(self._map(a) for a in range(len(self.names)))
+
+    def channels(self, Y: np.ndarray, every: bool = False) -> list[np.ndarray | None]:
+        """The channels of Y: integral, then (endpoint-continued) derivative.
+
+        Channels that are not live are None, unless every is set.
+        """
+        return [self._channel(Y, a) if every or is_live else None
+                for a, is_live in enumerate(self.live)]
 
     def _channel(self, Y: np.ndarray, a: int) -> np.ndarray:
-        op, _, k, continued = self.maps[a]
+        op, _, k, continued = self._map(a)
         vals = op.apply(Y[k])
         if continued:
             vals[0] = vals[1]
         return vals
 
-    def env(self, c: list[np.ndarray]) -> dict:
-        e = {"x": self.grid.nodes, **dict(zip(self.names, c))}
+    def env(self, c: list[np.ndarray | None]) -> dict:
+        e = {"x": self.grid.nodes}
+        e.update((name, v) for name, v in zip(self.names, c) if v is not None)
         for alias in self._aliases:
-            e[alias] = e[alias + "1"]
+            if alias + "1" in e:
+                e[alias] = e[alias + "1"]
         return e
 
     # -- functional, residual, gradient ------------------------------------
@@ -312,12 +350,12 @@ class DiscreteProblem:
     def _residual_from(self, c: list[np.ndarray]) -> np.ndarray:
         return self.pullback(self.first_partials(c))
 
-    def first_partials(self, c: list[np.ndarray]) -> list[np.ndarray | None]:
+    def first_partials(self, c: list[np.ndarray | None]) -> list[np.ndarray | None]:
         """Node samples of dL/d(channel), one per channel; None where the
-        partial is identically zero."""
+        partial is dropped (see partials)."""
         env = self.env(c)
         n = self.grid.n_nodes
-        return [None if e == Num(0.0) else _evaluate_array(e, env, n) for e in self.partials]
+        return [None if e is None else _evaluate_array(e, env, n) for e in self.partials]
 
     def pullback(self, p: list[np.ndarray | None]) -> np.ndarray:
         """sum_a adjoint_a(p_a) into the row of channel a's unknown.
@@ -329,9 +367,10 @@ class DiscreteProblem:
         """
         w = self.grid.quad_weights
         g = np.zeros((self.problem.n_unknowns, self.grid.n_nodes))
-        for (_, adjoint, k, continued), pa in zip(self.maps, p):
+        for a, pa in enumerate(p):
             if pa is None:
                 continue
+            _, adjoint, k, continued = self._map(a)
             if continued:
                 pa = pa.copy()
                 pa[1] += pa[0] * w[0] / w[1]
@@ -352,17 +391,19 @@ class DiscreteProblem:
 
     @cached_property
     def _second_partials(self) -> tuple[tuple[int, int, Expr], ...]:
-        # (a, b, d2L/da db) for channels a <= b; identically zero partials
-        # are dropped
+        # (a, b, d2L/da db) for channels a <= b; pairs with a dropped first
+        # partial and identically zero partials are dropped
         out = []
         for a, first in enumerate(self.partials):
             for b in range(a, len(self.names)):
+                if first is None or self.partials[b] is None:
+                    continue
                 e = differentiate(first, self.names[b])
                 if e != Num(0.0):
                     out.append((a, b, e))
         return tuple(out)
 
-    def curvature(self, c: list[np.ndarray]) -> dict[tuple[int, int], np.ndarray]:
+    def curvature(self, c: list[np.ndarray | None]) -> dict[tuple[int, int], np.ndarray]:
         """Node samples of the nonzero second partials of L.
 
         Keyed by channel pair (a, b), a <= b.  Samples add linearly, so the
@@ -381,7 +422,7 @@ class DiscreteProblem:
         so a curved pair costs about two applies.
         """
         dc = {}
-        q = [None] * len(self.maps)
+        q = [None] * len(self.names)
         for (a, b), s in curvature.items():
             for i, j in ((a, b),) if a == b else ((a, b), (b, a)):
                 if j not in dc:
@@ -404,12 +445,13 @@ class DiscreteProblem:
         w = self.grid.quad_weights
         blocks = []
         for k, (left, _) in enumerate(self.problem.pins):
-            diag = [a for a, b in curvature if a == b and self.maps[a][2] == k]
+            diag = [a for a, b in curvature if a == b and self._map(a)[2] == k]
             if not diag:
                 continue
-            a = max(diag, key=lambda a: _strength(self.maps[a][0]))
+            a = max(diag, key=lambda a: _strength(self._map(a)[0]))
+            op, _, _, continued = self._map(a)
             ws = w * curvature[a, a]
-            if self.maps[a][3]:
+            if continued:
                 ws[1] += ws[0]
             lo = 0 if left is None else 1
             ws = np.abs(ws[lo:])
@@ -417,14 +459,16 @@ class DiscreteProblem:
                 ws[0] = ws[1]
             top = np.max(ws)
             if top > 0.0:
-                blocks.append((k, lo, self.maps[a][0].inverse_kernel,
-                               np.maximum(ws, _WEIGHT_FLOOR * top)))
+                blocks.append((k, lo, op.inverse_kernel,
+                               np.maximum(ws, _WEIGHT_FLOOR * top), {}))
 
         def apply(R: np.ndarray) -> np.ndarray:
+            # the two solves of every call read the transforms of c that
+            # the first call made, one per level
             Z = R.copy()
-            for k, lo, c, ws in blocks:
-                u = _lower_toeplitz(c, R[k, lo:][::-1])[::-1] / ws
-                Z[k, lo:] = _lower_toeplitz(c, u)
+            for k, lo, c, ws, spectra in blocks:
+                u = _lower_toeplitz(c, R[k, lo:][::-1], spectra)[::-1] / ws
+                Z[k, lo:] = _lower_toeplitz(c, u, spectra)
             return Z
 
         return apply

@@ -188,7 +188,7 @@ def gradient(problem: VarProblem, y, grid: Grid) -> np.ndarray:
 
 
 def _shifted(base, step, t):
-    return [a + t * b for a, b in zip(base, step)]
+    return [None if a is None else a + t * b for a, b in zip(base, step)]
 
 
 def _backtrack(trial):
@@ -219,8 +219,10 @@ def minimize(
     Pinned entries of y0 are overwritten with the pin values; the default
     start interpolates linearly through the pins (zero at unpinned ends).
     An ExprDomainError or a non-finite J or gradient at the starting point
-    raises; the line search accepts only points where the next step can be
-    formed, so max_iters or a stalled line search ends the solve unraised.
+    raises.  The line search accepts only points with a finite gradient
+    where the solve either stops or can form the next step, whose
+    curvature it then evaluates; so max_iters or a stalled line search ends
+    the solve unraised.
     """
     if problem.constraint is not None:
         raise ValueError("minimize handles unconstrained problems; "
@@ -230,6 +232,18 @@ def minimize(
     L = problem.lagrangian
     w = grid.quad_weights
     mask = _free_mask(problem, grid)
+
+    def stop_at(norm, steps):
+        """Why the solve ends at a point of residual norm norm reached in
+        steps steps, or None where it goes on."""
+        if norm <= cfg.grad_tol:
+            return "converged"
+        return "max_iters" if steps >= cfg.max_iters else None
+
+    def curvature(c, r, steps):
+        """The curvature of L at c, or None where the solve ends."""
+        return None if stop_at(weighted_norm(grid, r * mask), steps) else dp.curvature(c)
+
     Y = _start(problem, grid, y0)
     c = dp.channels(Y)
     J = dp.functional_value(L, c)
@@ -237,17 +251,14 @@ def minimize(
     g = w * r * mask
     if not np.isfinite(J) or not np.all(np.isfinite(g)):
         raise ArithmeticError("non-finite functional value or gradient at iteration 0")
-    curv = dp.curvature(c)
+    curv = curvature(c, r, 0)
     history = []
     iters = linear_iters = 0
     while True:
         norm = weighted_norm(grid, r * mask)
         history.append((J, norm))
-        if norm <= cfg.grad_tol:
-            stop = "converged"
-            break
-        if iters >= cfg.max_iters:
-            stop = "max_iters"
+        stop = stop_at(norm, iters)
+        if stop:
             break
         D, n_cg = _pcg(dp, curv, mask, -g)
         linear_iters += n_cg
@@ -259,12 +270,13 @@ def minimize(
             J_t = dp.functional_value(L, c_t)
             if not (np.isfinite(J_t) and J_t <= J + _ARMIJO_C * t * slope):
                 return None
-            # the next Newton step needs a finite gradient and the curvature
+            # the next Newton step needs a finite gradient and the curvature,
+            # which a point that ends the solve does not evaluate
             r_t = dp._residual_from(c_t)
             g_t = w * r_t * mask
             if not np.all(np.isfinite(g_t)):
                 return None
-            return c_t, J_t, r_t, g_t, dp.curvature(c_t)
+            return c_t, J_t, r_t, g_t, curvature(c_t, r_t, iters + 1)
 
         t, accepted = _backtrack(trial)
         if t is None:
@@ -307,8 +319,9 @@ def solve_isoperimetric(
         raise ValueError("solve_isoperimetric requires a problem with a constraint")
     cfg = cfg or SolveConfig()
     con = problem.constraint
-    dp = assemble(dataclasses.replace(problem, constraint=None), grid)
-    dp_con = assemble(dataclasses.replace(dp.problem, lagrangian=con.g), grid)
+    # dp applies the channels L or g reads; dp_con pulls back g's partials
+    dp = assemble(problem, grid)
+    dp_con = assemble(dataclasses.replace(problem, lagrangian=con.g), grid)
     L = problem.lagrangian
     w = grid.quad_weights
     mask = _free_mask(problem, grid)
@@ -325,27 +338,36 @@ def solve_isoperimetric(
         g = (w * (r_J + lam * r_C))[mask]
         return float(g @ g + gap * gap)
 
+    def stop_at(norm, gap, r_C, steps):
+        """Why the solve ends at a point of augmented residual norm norm
+        reached in steps steps, or None where it goes on."""
+        if weighted_norm(grid, r_C * mask) <= _ABNORMAL_TOL:
+            return "degenerate_constraint"
+        if norm <= cfg.grad_tol and abs(gap) <= _GAP_TOL:
+            return "converged"
+        return "max_iters" if steps >= cfg.max_iters else None
+
+    def curvatures(c, lam, gap, r_J, r_C, steps):
+        """The curvatures of L and g at c, or None where the solve ends."""
+        if stop_at(weighted_norm(grid, (r_J + lam * r_C) * mask), gap, r_C, steps):
+            return None
+        return dp.curvature(c), dp_con.curvature(c)
+
     c = dp.channels(Y)
     lam = 0.0
     J, gap, r_J, r_C = state(c)
     if not np.isfinite(J + gap) or not np.all(np.isfinite(r_J + lam * r_C)):
         raise ArithmeticError("non-finite functional value or gradient at iteration 0")
-    curv_J, curv_C = dp.curvature(c), dp_con.curvature(c)
+    curvs = curvatures(c, lam, gap, r_J, r_C, 0)
     history = []
     iters = linear_iters = 0
     while True:
-        r = r_J + lam * r_C
-        norm = weighted_norm(grid, r * mask)
+        norm = weighted_norm(grid, (r_J + lam * r_C) * mask)
         history.append((J, norm))
-        if weighted_norm(grid, r_C * mask) <= _ABNORMAL_TOL:
-            stop = "degenerate_constraint"
+        stop = stop_at(norm, gap, r_C, iters)
+        if stop:
             break
-        if norm <= cfg.grad_tol and abs(gap) <= _GAP_TOL:
-            stop = "converged"
-            break
-        if iters >= cfg.max_iters:
-            stop = "max_iters"
-            break
+        curv_J, curv_C = curvs
         curv = dict(curv_J)
         for key, s in curv_C.items():
             curv[key] = curv[key] + lam * s if key in curv else lam * s
@@ -369,18 +391,19 @@ def solve_isoperimetric(
             m_t = merit(gap_t, r_J_t, r_C_t, lam_t)
             if not (np.isfinite(m_t) and m_t <= (1.0 - 2.0 * _ARMIJO_C * t) * m0):
                 return None
-            # the next Newton step needs finite values and the curvatures
+            # the next Newton step needs finite values and the curvatures,
+            # which a point that ends the solve does not evaluate
             if not (np.isfinite(J_t + gap_t) and np.all(np.isfinite(r_J_t + lam_t * r_C_t))):
                 return None
             return (c_t, lam_t, J_t, gap_t, r_J_t, r_C_t,
-                    dp.curvature(c_t), dp_con.curvature(c_t))
+                    curvatures(c_t, lam_t, gap_t, r_J_t, r_C_t, iters + 1))
 
         t, accepted = _backtrack(trial)
         if t is None:
             stop = "line_search_stalled"
             break
         Y = Y + t * D
-        c, lam, J, gap, r_J, r_C, curv_J, curv_C = accepted
+        c, lam, J, gap, r_J, r_C, curvs = accepted
         iters += 1
 
     abnormal = stop == "degenerate_constraint"

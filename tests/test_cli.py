@@ -1,5 +1,6 @@
 """End-to-end checks of the `fracvar run` entry point."""
 import csv
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -550,3 +551,30 @@ def test_certify_tasks_refuse_other_shapes(tmp_path, capsys, stem, edits, messag
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"fracvar: invalid problem file: {message}")
     assert summary is None
+
+
+def test_compare_cli_reports_key_set_changes_on_their_own_lines():
+    # a removed and an added summary key are listed by path; the keys both
+    # runs share are still compared number by number
+    path = Path(__file__).resolve().parent.parent / "tools" / "compare_cli.py"
+    spec = importlib.util.spec_from_file_location("compare_cli", path)
+    compare_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_cli)
+    a = {"exit": "0", "summary.json": {
+        "J": 1.0, "config": {"solver": {"max_iters": 5, "step_init": 1.0}},
+        "summary_hash": "aa"}}
+    b = {"exit": "0", "summary.json": {
+        "J": 1.25, "config": {"solver": {"max_iters": 5}}, "stop_reason": "converged",
+        "summary_hash": "bb"}}
+    changes = compare_cli.compare(a, b)
+    assert changes == ({"summary.json": 0.2}, ["summary.json/config/solver/step_init"],
+                       ["summary.json/stop_reason"])
+    assert compare_cli.report("case", a, b, *changes) == [
+        "DIFF  case exit 0 vs 0: summary.json (0.2)",
+        "      removed summary.json/config/solver/step_init",
+        "      added   summary.json/stop_reason",
+    ]
+    b["summary.json"]["J"] = 1.0
+    changes = compare_cli.compare(a, b)
+    assert compare_cli.report("case", a, b, *changes)[0] == "DIFF  case exit 0 vs 0: key set only"
+    assert compare_cli.report("case", a, a, *compare_cli.compare(a, a)) == ["same  case exit 0"]

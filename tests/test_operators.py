@@ -393,8 +393,9 @@ SIX_BUILDERS = (build_left_rlfi, build_left_rlfd, adjoint_rlfi, adjoint_rlfd,
                 build_right_rlfi, build_right_rlfd)
 
 
-def direct_toeplitz(t, x):
-    """The single direct convolution every apply made before the block path."""
+def direct_toeplitz(t, x, spectra=None):
+    """The single direct convolution every apply made before the block path
+    (it needs no kernel transforms, so spectra is ignored)."""
     return np.convolve(t[: x.size], x)[: x.size]
 
 
@@ -483,6 +484,36 @@ def test_apply_up_to_leaf_is_one_direct_convolution(n, monkeypatch):
     monkeypatch.setattr(operators, "_lower_toeplitz", direct_toeplitz)
     for op, out in zip(ops, got):
         assert np.array_equal(out, op.apply(f)), op.kind
+
+
+@pytest.mark.parametrize("build", (build_left_rlfi, build_left_rlfd))
+def test_operator_and_adjoint_transform_the_kernel_once_per_level(build, monkeypatch):
+    # at N = 4096 the block path has levels s = 512, 1024, 2048; six applies
+    # of a left operator and its adjoint transform the kernel once per
+    # level (the only one-dimensional rffts), and every warm apply has the
+    # bits of a freshly built operator's apply
+    n = 4096
+    g = Grid(0.0, 1.0, n)
+    inputs = np.random.default_rng(67).standard_normal((3, n + 1))
+    fresh = []
+    for f in inputs:
+        op = build(g, 0.3)
+        fresh.append((op.apply(f), build_right_adjoint(op).apply(f)))
+    op = build(g, 0.3)
+    adj = build_right_adjoint(op)
+    kernel_sizes = []
+    rfft = np.fft.rfft
+
+    def counting(a, *args, **kwargs):
+        if np.ndim(a) == 1:
+            kernel_sizes.append(np.size(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    for f, (left, right) in zip(inputs, fresh):
+        assert np.array_equal(op.apply(f), left)
+        assert np.array_equal(adj.apply(f), right)
+    assert kernel_sizes == [2 * LEAF - 1, 4 * LEAF - 1, 8 * LEAF - 1]
 
 
 @pytest.mark.parametrize("n", (1, 7, 300, 2048))

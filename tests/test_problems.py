@@ -4,10 +4,14 @@ import math
 import numpy as np
 import pytest
 
+import fracvar.problems
 from fracvar import (
     Constraint,
+    FracOperator,
     Grid,
+    OperatorKind,
     VarProblem,
+    assemble,
     augmented_lagrangian,
     build_left_rlfd,
     constraint_value,
@@ -15,6 +19,7 @@ from fracvar import (
     el_residual_general,
     evaluate_functional,
     gamma,
+    solve_isoperimetric,
 )
 from fracvar.expressions import parse
 
@@ -241,3 +246,82 @@ def test_d_channel_feeds_residual(grid256):
     assert r.norm > 0.0
     dvals = build_left_rlfd(grid256, 0.5).apply(y)
     assert np.isfinite(dvals).all()
+
+
+# ---------------------------------------------------------------- live channels
+
+def record_operator_work(monkeypatch):
+    """Lists of the operators the problems module builds and of the kinds
+    of the operators applied, filled as the calls happen."""
+    built, applied = [], []
+
+    def recording(build):
+        def wrapped(*args):
+            built.append(build(*args))
+            return built[-1]
+        return wrapped
+
+    for name in ("build_left_rlfi", "build_left_rlfd", "build_right_adjoint"):
+        build = getattr(fracvar.problems, name)
+        monkeypatch.setattr(fracvar.problems, name, recording(build))
+    apply = FracOperator.apply
+
+    def applying(op, f):
+        applied.append(op.kind)
+        return apply(op, f)
+
+    monkeypatch.setattr(FracOperator, "apply", applying)
+    return built, applied
+
+
+def test_only_live_channels_are_built_and_applied(monkeypatch):
+    # (v - 1)^2 reads v alone: the RLFD and its adjoint are built, the
+    # residual applies both and the functional the RLFD alone
+    built, applied = record_operator_work(monkeypatch)
+    g = Grid(0.0, 1.0, 4096)
+    p = half_problem("(v - 1)^2")
+    y = np.sqrt(g.nodes) / gamma(1.5)
+    assert np.isfinite(el_residual(p, y, g).norm)
+    assert [op.kind for op in built] == [OperatorKind.LEFT_RLFD, OperatorKind.RIGHT_RLFD]
+    assert applied == [OperatorKind.LEFT_RLFD, OperatorKind.RIGHT_RLFD]
+    built.clear()
+    applied.clear()
+    assert np.isfinite(evaluate_functional(p, y, g))
+    assert len(built) == 2
+    assert applied == [OperatorKind.LEFT_RLFD]
+
+
+def test_partial_of_an_unread_channel_is_dropped(monkeypatch):
+    # differentiating 1/v by u gives the unsimplified zero 0/v^2; the
+    # residual must not evaluate it and pull it back through the RLFI adjoint
+    built, applied = record_operator_work(monkeypatch)
+    g = Grid(0.0, 1.0, 1024)
+    p = half_problem("log(v) + 1/v - v")
+    y = np.sqrt(g.nodes) / gamma(1.5)  # v = 1
+    dp = assemble(p, g)
+    assert dp.live == (False, True)
+    assert dp.partials[0] is None
+    assert np.isfinite(el_residual(p, y, g).norm)
+    assert OperatorKind.RIGHT_RLFI not in applied
+    assert OperatorKind.LEFT_RLFI not in {op.kind for op in built}
+
+
+def test_constraint_keeps_its_channels_live():
+    # L reads v only, the constraint reads u: the u channel is applied for
+    # the constraint, and the solve matches, bit for bit, the one whose L
+    # reads u through a zero term
+    g = Grid(0.0, 1.0, 64)
+    reports = []
+    for lagrangian in ("v^2", "v^2 + 0*u"):
+        p = half_problem(lagrangian, constraint=Constraint("u", 1.0), pins=(0.0, None))
+        assert assemble(p, g).live == (True, True)
+        reports.append(solve_isoperimetric(p, g))
+    a, b = reports
+    assert a.converged and b.converged
+    assert a.J == pytest.approx(3.083218528005155, rel=1e-12)
+    assert a.lam == pytest.approx(-6.166437056010309, rel=1e-12)
+    for name in ("J", "lam", "residual_norm", "constraint_gap", "iters",
+                 "linear_iters", "stop_reason"):
+        assert getattr(a, name) == getattr(b, name), name
+    assert np.array_equal(a.y.values, b.y.values)
+    assert np.array_equal(a.history, b.history)

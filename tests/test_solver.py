@@ -22,7 +22,10 @@ from fracvar import (
     solve_isoperimetric,
 )
 
+import fracvar.problems
 import fracvar.solve as solve_module
+from fracvar import operators
+from fracvar.problems import DiscreteProblem
 from helpers import random_smooth_samples
 
 ISO_CFG = SolveConfig(max_iters=8000, grad_tol=1e-6)
@@ -384,6 +387,61 @@ def test_hessian_builds_only_curved_tables(monkeypatch):
     assert len(assembled) == 3
     assert all("coeffs" not in op.__dict__
                for dp in assembled for m in dp.maps for op in m[:2])
+
+
+@pytest.mark.parametrize("n", (64, 128, 512))
+def test_solvers_evaluate_no_curvature_where_they_stop(n, monkeypatch):
+    # one-step solves: the curvature is evaluated where the step is formed,
+    # not at the point where grad_tol (and the gap test) or max_iters ends
+    # the solve
+    calls = []
+    curvature = DiscreteProblem.curvature
+
+    def counting(dp, c):
+        calls.append(dp)
+        return curvature(dp, c)
+
+    monkeypatch.setattr(DiscreteProblem, "curvature", counting)
+    g = Grid(0.0, 1.0, n)
+    report = minimize(quad_problem(), g)
+    assert (report.stop_reason, report.iters, len(calls)) == ("converged", 1, 1)
+    calls.clear()
+    quartic = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5,
+                         lagrangian="(v - 1)^2 + v^4", pins=(0.0, None))
+    report = minimize(quartic, g, SolveConfig(max_iters=1))
+    assert (report.stop_reason, report.iters, len(calls)) == ("max_iters", 1, 1)
+    calls.clear()
+    report = solve_isoperimetric(iso_problem(1.0), g)
+    assert (report.stop_reason, report.iters, len(calls)) == ("converged", 1, 2)
+
+
+def test_preconditioner_transforms_the_inverse_kernel_once_per_level(monkeypatch):
+    # node 0 free at N = 1024: each Toeplitz solve has 1025 unknowns and
+    # takes the block path (levels s = 512, 1024); the two solves of every
+    # call share one transform per level, and the output has the bits of
+    # solves that transform the kernel afresh
+    p = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian="(v - 1)^2")
+    g = Grid(0.0, 1.0, 1024)
+    dp = assemble(p, g)
+    curv = dp.curvature(dp.channels(np.sqrt(g.nodes)[None, :]))
+    R = np.random.default_rng(71).standard_normal((3, 1, g.n_nodes))
+    with monkeypatch.context() as m:
+        m.setattr(fracvar.problems, "_lower_toeplitz",
+                  lambda t, x, spectra=None: operators._lower_toeplitz(t, x))
+        want = [dp.preconditioner(curv)(r) for r in R]
+    precond = dp.preconditioner(curv)
+    kernel_sizes = []
+    rfft = np.fft.rfft
+
+    def counting(a, *args, **kwargs):
+        if np.ndim(a) == 1:
+            kernel_sizes.append(np.size(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    for r, z in zip(R, want):
+        assert np.array_equal(precond(r), z)
+    assert kernel_sizes == [2 * operators._LEAF - 1, 4 * operators._LEAF - 1]
 
 
 def test_minimize_two_unknowns_two_orders():

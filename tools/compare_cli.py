@@ -13,7 +13,10 @@ Per case it compares the exit code, stdout (output directory masked),
 stderr (the file:line of warnings masked), summary.json without its
 "timings" entry, and every CSV written.  It prints one line per case, the
 largest relative difference of any number that differs, and exits 1 if
-any case differs at all.  Standard library only.
+any case differs at all.  A key that only one side has (an output file,
+or a key of summary.json at any depth) is printed on a line of its own,
+"removed PATH" or "added PATH", and the rest is compared on the keys both
+sides share.  Standard library only.
 """
 
 from __future__ import annotations
@@ -180,26 +183,67 @@ def diff(x, y) -> float:
     return _rel(fx, fy)
 
 
-def compare(a: dict, b: dict) -> dict[str, float]:
-    """What differs between two runs of one case, with its size."""
+def key_changes(x, y, path: str = "") -> tuple[list[str], list[str]]:
+    """(removed, added): the key paths of dicts in x that y lacks, and
+    those of y that x lacks, through nested dicts and equal-length lists."""
+    removed, added = [], []
+    if isinstance(x, dict) and isinstance(y, dict):
+        removed += [path + str(k) for k in x if k not in y]
+        added += [path + str(k) for k in y if k not in x]
+        pairs = [(f"{path}{k}/", x[k], y[k]) for k in x if k in y]
+    elif isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+        pairs = [(f"{path}{i}/", a, b) for i, (a, b) in enumerate(zip(x, y))]
+    else:
+        pairs = []
+    for sub, a, b in pairs:
+        more_removed, more_added = key_changes(a, b, sub)
+        removed += more_removed
+        added += more_added
+    return removed, added
+
+
+def shared(x, y):
+    """x with every dict cut down to the keys y has at the same place."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        return {k: shared(v, y[k]) for k, v in x.items() if k in y}
+    if isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+        return [shared(a, b) for a, b in zip(x, y)]
+    return x
+
+
+def compare(a: dict, b: dict) -> tuple[dict[str, float], list[str], list[str]]:
+    """What differs between two runs of one case: the differing entries
+    with their size, compared on the keys both runs have, and the removed
+    and added key paths."""
+    removed, added = key_changes(a, b)
     diffs = {}
-    for key in sorted(set(a) | set(b)):
-        if key not in a or key not in b:
-            diffs[key] = math.inf
-            continue
-        x, y = a[key], b[key]
+    for key in sorted(set(a) & set(b)):
+        x, y = shared(a[key], b[key]), shared(b[key], a[key])
         if key == "summary.json":
             # the hash follows from the rest; report it only on its own
             x, y = dict(x), dict(y)
             hx, hy = x.pop("summary_hash", None), y.pop("summary_hash", None)
-            if x == y and hx != hy:
+            keys_same = not any(p.startswith(key + "/") for p in removed + added)
+            if x == y and hx != hy and keys_same:
                 diffs["summary_hash"] = math.inf
         if key.endswith(".csv") and x[:1] != y[:1]:
             diffs[key + " header"] = math.inf
         d = diff(x, y) if key != "exit" or x == y else math.inf
         if d or x != y:
             diffs[key] = d
-    return diffs
+    return diffs, removed, added
+
+
+def report(name: str, a: dict, b: dict, diffs: dict, removed: list, added: list) -> list[str]:
+    """The lines printed for a case whose runs a and b compare as given:
+    "same" or "DIFF", then one line per removed or added key path."""
+    if not (diffs or removed or added):
+        return [f"same  {name} exit {a['exit']}"]
+    what = ", ".join(f"{k} ({v:.3g})" for k, v in diffs.items()) or "key set only"
+    lines = [f"DIFF  {name} exit {a['exit']} vs {b['exit']}: {what}"]
+    lines += [f"      removed {path}" for path in removed]
+    lines += [f"      added   {path}" for path in added]
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -215,14 +259,11 @@ def main(argv: list[str] | None = None) -> int:
         for name, (problem, extra) in cases(work).items():
             ra = run(src_a, "1", problem, extra, work / f"{name}.a" / "out")
             rb = run(src_b, "2", problem, extra, work / f"{name}.b" / "out")
-            diffs = compare(ra, rb)
-            if diffs:
+            changes = compare(ra, rb)
+            print("\n".join(report(name, ra, rb, *changes)))
+            if any(changes):
                 n_diff += 1
-                worst = max(worst, *diffs.values())
-                what = ", ".join(f"{k} ({v:.3g})" for k, v in diffs.items())
-                print(f"DIFF  {name} exit {ra['exit']} vs {rb['exit']}: {what}")
-            else:
-                print(f"same  {name} exit {ra['exit']}")
+                worst = max(worst, *changes[0].values())
     print(f"{n_diff} case(s) differ; largest relative difference {worst:.3g}")
     return 1 if n_diff else 0
 
