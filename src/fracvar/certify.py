@@ -20,12 +20,11 @@ import numpy as np
 
 from .expressions import (
     Expr,
-    ExprDomainError,
-    ExprEvalError,
     differentiate,
     evaluate,
     free_vars,
     parse,
+    _eval,
     _evaluate_array,
 )
 from .grids import Grid, SampledFn
@@ -105,22 +104,22 @@ def gradient_inequality_gap(L, x, u, v, du, dv) -> float:
     )
 
 
+def _marked(expr: Expr, env: dict, shape) -> tuple[np.ndarray, np.ndarray]:
+    """expr on env in one marking pass: its values of the given shape, NaN
+    where it is undefined, and the mask of those points."""
+    bad = np.zeros(shape, dtype=bool)
+    out = _eval(expr, env, bad)
+    return np.where(bad, np.nan, out), bad
+
+
 def _sample_grid(expr: Expr, env: dict, shape, inconclusive: list, coords) -> np.ndarray:
-    """Evaluate on a full grid; nan out domain failures and log the points,
-    each as its values of the env names in coords."""
-    try:
-        return _evaluate_array(expr, env, shape)
-    except (ExprDomainError, ExprEvalError):
-        pass
-    flat_env = {k: np.ravel(np.broadcast_to(val, shape)) for k, val in env.items()}
-    out = np.full(int(np.prod(shape)), np.nan)
-    for i in range(out.size):
-        try:
-            out[i] = evaluate(expr, {k: float(v[i]) for k, v in flat_env.items()})
-        except (ExprDomainError, ExprEvalError):
-            if len(inconclusive) < _MAX_INCONCLUSIVE:
-                inconclusive.append(tuple(float(flat_env[k][i]) for k in coords))
-    return out.reshape(shape)
+    """Evaluate on a full grid in one array pass; NaN out the points where
+    expr is undefined and log the first of them, in flat order, up to
+    _MAX_INCONCLUSIVE in all, each as its values of the env names in coords."""
+    out, bad = _marked(expr, env, shape)
+    first = np.unravel_index(np.flatnonzero(bad)[: _MAX_INCONCLUSIVE - len(inconclusive)], shape)
+    inconclusive.extend(zip(*(np.broadcast_to(env[k], shape)[first].tolist() for k in coords)))
+    return out
 
 
 def check_convexity(L, box, samples_per_axis: int = 9) -> ConvexityReport:
@@ -212,27 +211,31 @@ def _hessian_psd(L, xs, us, vs, inconclusive):
 
 def _hessian_counterexample(L, point, box) -> Counterexample:
     """Search small increments at a Hessian-negative point for a gradient-
-    inequality violation; the recorded gap is whatever the search found."""
+    inequality violation; the recorded gap is whatever the search found.
+
+    L is evaluated once over the in-box increments (16 angles times 11
+    halving scales); the first smallest gap in angle-major order is kept,
+    gaps where L or a partial is undefined are skipped, and with no finite
+    gap the increment is zero."""
     x, u, v = point
     (_, _), (ulo, uhi), (vlo, vhi) = box
     span = max(uhi - ulo, vhi - vlo)
-    best = (np.inf, 0.0, 0.0)
-    for angle in np.linspace(0.0, 2 * np.pi, 16, endpoint=False):
-        for scale in span * 0.5 ** np.arange(1, 12):
-            du = scale * np.cos(angle)
-            dv = scale * np.sin(angle)
-            if not (ulo <= u + du <= uhi and vlo <= v + dv <= vhi):
-                continue
-            try:
-                g = gradient_inequality_gap(L, x, u, v, du, dv)
-            except (ExprDomainError, ExprEvalError):
-                continue
-            if g < best[0]:
-                best = (g, du, dv)
-    g, du, dv = best
-    if not np.isfinite(g):
-        g, du, dv = 0.0, 0.0, 0.0
-    return Counterexample(x=x, u=u, v=v, du=du, dv=dv, violation=float(g))
+    angle, scale = np.meshgrid(np.linspace(0.0, 2 * np.pi, 16, endpoint=False),
+                               span * 0.5 ** np.arange(1, 12), indexing="ij")
+    du = (scale * np.cos(angle)).ravel()
+    dv = (scale * np.sin(angle)).ravel()
+    inside = (ulo <= u + du) & (u + du <= uhi) & (vlo <= v + dv) & (v + dv <= vhi)
+    du, dv = du[inside], dv[inside]
+    L0, Lu0, Lv0 = (_marked(e, {"x": x, "u": u, "v": v}, ())[0]
+                    for e in (L, differentiate(L, "u"), differentiate(L, "v")))
+    bumped = _marked(L, {"x": x, "u": u + du, "v": v + dv}, du.shape)[0]
+    gap = bumped - L0 - Lu0 * du - Lv0 * dv
+    gap[np.isnan(gap)] = np.inf
+    k = int(np.argmin(gap)) if gap.size else None
+    if k is None or not np.isfinite(gap[k]):
+        return Counterexample(x=x, u=u, v=v, du=0.0, dv=0.0, violation=0.0)
+    return Counterexample(x=x, u=u, v=v, du=float(du[k]), dv=float(dv[k]),
+                          violation=float(gap[k]))
 
 
 def excess(L, x, u, z, w):

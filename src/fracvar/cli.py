@@ -41,6 +41,7 @@ from .operators import (
 from .problems import (
     Constraint,
     DiscreteProblem,
+    Residual,
     VarProblem,
     assemble,
     augmented_lagrangian,
@@ -278,16 +279,16 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _nodes_table(
-    out_dir: Path, dp: DiscreteProblem, Y: np.ndarray, residual: np.ndarray | None
+    out_dir: Path, dp: DiscreteProblem, Y: np.ndarray, c: list, residual: np.ndarray | None
 ) -> None:
-    """nodes.csv: x, the unknowns, their channels and the residual rows."""
+    """nodes.csv: x, the unknowns, their channels c (every one) and the residual rows."""
     if dp.problem.is_basic():
         header, rs = ["x", "y", "I_y", "D_y"], ["residual"]
     else:
         unknowns = range(1, dp.problem.n_unknowns + 1)
         header = ["x", *(f"y{k}" for k in unknowns), *dp.names]
         rs = [f"r{k}" for k in unknowns]
-    columns = [dp.grid.nodes] + list(Y) + dp.channels(Y, every=True)
+    columns = [dp.grid.nodes] + list(Y) + c
     if residual is not None:
         header += rs
         columns += list(np.atleast_2d(residual))
@@ -316,12 +317,14 @@ def _run_candidate(cfg: dict, out_dir: Path):
     grid = _build_grid(cfg)
     Y = _candidate_samples(cfg, problem, grid)
     dp = assemble(problem, grid)
-    res = dp.residual(Y) if cfg["task"] == "el-residual" else None
-    summary = {"J": dp.functional(Y)}
-    if res is not None:
-        summary["residual_norm"] = res.norm
-        summary["residual_interior_norm"] = res.interior_norm()
-    _nodes_table(out_dir, dp, Y, residual=None if res is None else res.values)
+    c = dp.channels(Y, every=True)  # applied once for J, the residual and nodes.csv
+    summary = {"J": dp.functional_value(problem.lagrangian, c)}
+    residual = None
+    if cfg["task"] == "el-residual":
+        residual = dp._residual_from(c)
+        res = Residual(grid, residual, weighted_norm(grid, residual))
+        summary.update(residual_norm=res.norm, residual_interior_norm=res.interior_norm())
+    _nodes_table(out_dir, dp, Y, c, residual)
     return summary, 0
 
 
@@ -338,10 +341,11 @@ def _run_solve(cfg: dict, out_dir: Path):
     if report.lam is not None:
         problem = augmented_lagrangian(problem, report.lam)
     dp = assemble(problem, grid)
+    c = dp.channels(Y, every=True)
     residual = None
     if cfg["task"] == "solve" or report.lam is not None:
-        residual = dp.residual(Y).values
-    _nodes_table(out_dir, dp, Y, residual)
+        residual = dp._residual_from(c)
+    _nodes_table(out_dir, dp, Y, c, residual)
     _write_csv(out_dir / "history.csv", ["iter", "J", "grad_norm"],
                ((i, J, g) for i, (J, g) in enumerate(report.history)))
     summary = {
@@ -417,7 +421,7 @@ def _run_limit_sweep(cfg: dict, out_dir: Path):
         problem = _build_problem(cfg, alphas=(order,), betas=(order,), constraint=None)
         try:
             report = minimize(problem, grid, SolveConfig(**cfg["solver"]))
-        except ArithmeticError as exc:
+        except (ArithmeticError, ExprDomainError) as exc:
             rows.append((order, "", "", f"error: {exc}"))
             continue
         dist = weighted_norm(grid, _report_samples(report)[0] - classical)

@@ -246,7 +246,9 @@ def evaluate(e: Expr, env: Mapping[str, float | np.ndarray] | None = None):
     Raises ExprEvalError for unbound variables and ExprDomainError (with
     the offending subexpression and, for arrays, the first bad index) for
     log/sqrt of out-of-domain values, division by zero, and any non-finite
-    intermediate.
+    intermediate.  The same four checks can instead mark the failing points
+    of an array evaluation and go on (the private bad argument of _eval);
+    certify samples its grids that way, in one pass.
     """
     out = _eval(e, env or {})
     if np.ndim(out) == 0:
@@ -262,20 +264,18 @@ def _evaluate_array(e: Expr, env: Mapping, shape) -> np.ndarray:
     return np.asarray(out, dtype=float)
 
 
-def _bad_index(mask) -> int | None:
-    if np.ndim(mask) == 0:
-        return None
-    return int(np.argmax(mask))
+def _domain(fails, message: str, node: Expr, bad: np.ndarray | None) -> None:
+    """The one place a domain check fails.  Without bad, raise
+    ExprDomainError at the first failing entry (index None for scalars);
+    with the boolean array bad, mark the failing points there and go on."""
+    if bad is not None:
+        bad |= fails
+    elif fails.any():
+        index = None if np.ndim(fails) == 0 else int(np.argmax(fails))
+        raise ExprDomainError(message, to_string(node), index)
 
 
-def _check_finite(out, node: Expr) -> None:
-    finite = np.isfinite(out)
-    if not np.all(finite):
-        bad = ~finite
-        raise ExprDomainError("non-finite value", to_string(node), _bad_index(bad))
-
-
-def _eval(e: Expr, env: Mapping[str, float | np.ndarray]):
+def _eval(e: Expr, env: Mapping[str, float | np.ndarray], bad: np.ndarray | None = None):
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
@@ -284,32 +284,20 @@ def _eval(e: Expr, env: Mapping[str, float | np.ndarray]):
         except KeyError:
             raise ExprEvalError(f"unbound variable {e.name!r}") from None
     if isinstance(e, Neg):
-        return -_eval(e.arg, env)
+        return -_eval(e.arg, env, bad)
     if isinstance(e, Call):
-        arg = _eval(e.arg, env)
+        arg = _eval(e.arg, env, bad)
         if e.fn == "log":
-            bad = np.asarray(arg) <= 0.0
-            if np.any(bad):
-                raise ExprDomainError(
-                    "log of non-positive value", to_string(e), _bad_index(bad)
-                )
+            _domain(np.asarray(arg) <= 0.0, "log of non-positive value", e, bad)
         elif e.fn == "sqrt":
-            bad = np.asarray(arg) < 0.0
-            if np.any(bad):
-                raise ExprDomainError(
-                    "sqrt of negative value", to_string(e), _bad_index(bad)
-                )
+            _domain(np.asarray(arg) < 0.0, "sqrt of negative value", e, bad)
         with np.errstate(all="ignore"):
             out = _NP_FUNCS[e.fn](arg)
-        _check_finite(out, e)
-        return out
-    if isinstance(e, Bin):
-        lhs = _eval(e.lhs, env)
-        rhs = _eval(e.rhs, env)
+    elif isinstance(e, Bin):
+        lhs = _eval(e.lhs, env, bad)
+        rhs = _eval(e.rhs, env, bad)
         if e.op == "/":
-            bad = np.asarray(rhs) == 0.0
-            if np.any(bad):
-                raise ExprDomainError("division by zero", to_string(e), _bad_index(bad))
+            _domain(np.asarray(rhs) == 0.0, "division by zero", e, bad)
         with np.errstate(all="ignore"):
             if e.op == "+":
                 out = lhs + rhs
@@ -318,12 +306,14 @@ def _eval(e: Expr, env: Mapping[str, float | np.ndarray]):
             elif e.op == "*":
                 out = lhs * rhs
             elif e.op == "/":
-                out = lhs / rhs
+                # two floats divided by zero raise even after marking
+                out = lhs / rhs if bad is None else np.divide(lhs, rhs)
             else:
                 out = np.power(lhs, rhs)
-        _check_finite(out, e)
-        return out
-    raise TypeError(f"not an expression node: {e!r}")
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    _domain(~np.isfinite(out), "non-finite value", e, bad)
+    return out
 
 
 def differentiate(e: Expr, var: str) -> Expr:

@@ -38,6 +38,20 @@ def test_concave_quadratic_with_counterexample():
     assert gap == pytest.approx(ce.violation, abs=1e-9)
 
 
+def test_hessian_search_counterexample():
+    # the sampled gradient inequality holds to within tolerance, so only the
+    # Hessian cross-check flags v^4 - 0.01*v^2 and the increment search at
+    # its Hessian-negative point finds the counterexample
+    L = "v^4 - 0.01*v^2"
+    rep = check_convexity(L, BOX)
+    assert not rep.convex
+    ce = rep.counterexample
+    assert (ce.x, ce.u, ce.v, ce.dv) == (0.0, -1.0, 0.0, 0.0625)
+    assert ce.violation == -2.38037109375e-05
+    assert all(type(getattr(ce, f)) is float for f in ("x", "u", "v", "du", "dv", "violation"))
+    assert gradient_inequality_gap(L, ce.x, ce.u, ce.v, ce.du, ce.dv) == ce.violation
+
+
 @pytest.mark.parametrize("L", ["-(v1^2)", "-(w^2)"])
 def test_unknown_name_is_an_error_not_inconclusive(L):
     with pytest.raises(ValueError, match=r"L may use only x, u and v, found \['(v1|w)'\]"):

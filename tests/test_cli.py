@@ -578,3 +578,42 @@ def test_compare_cli_reports_key_set_changes_on_their_own_lines():
     changes = compare_cli.compare(a, b)
     assert compare_cli.report("case", a, b, *changes)[0] == "DIFF  case exit 0 vs 0: key set only"
     assert compare_cli.report("case", a, a, *compare_cli.compare(a, a)) == ["same  case exit 0"]
+
+
+def test_sweep_domain_error_is_a_row_per_order(tmp_path):
+    # L is undefined at the start point (v = 0 there), so every order fails
+    # on its own row and, with no converged row, the sweep exits 4
+    doc = fixture_doc("limit_sweep_classical", lagrangian="(v - 1)^2 + 1/v")
+    doc["sweep"]["orders"] = [0.9, 0.99]
+    out = tmp_path / "out"
+    rc = main(["run", write_problem(tmp_path / "p.json", doc), "--out", str(out), "--quiet"])
+    assert rc == 4
+    rows = read_csv(out / "sweep.csv")
+    assert [r["order"] for r in rows] == ["0.9", "0.99"]
+    for r in rows:
+        assert r["status"] == "error: division by zero in '1/v' at position 0"
+        assert r["J"] == r["distance"] == ""
+    statuses = [row["status"] for row in read_summary(out)["rows"]]
+    assert statuses == [r["status"] for r in rows]
+
+
+@pytest.mark.parametrize("stem, applies", [
+    ("el_residual_extremal", {"left": 2, "adjoint": 1}),
+    ("functional_zero", {"left": 2}),
+])
+def test_candidate_tasks_apply_each_channel_once(tmp_path, monkeypatch, stem, applies):
+    # J, the residual and nodes.csv share one application of the two
+    # channels I y and D y; the residual adds the one adjoint L reads
+    from fracvar.operators import FracOperator
+
+    counts = {}
+    apply = FracOperator.apply
+
+    def counted(op, f):
+        counts[op._form] = counts.get(op._form, 0) + 1
+        return apply(op, f)
+
+    monkeypatch.setattr(FracOperator, "apply", counted)
+    rc = main(["run", str(FIXTURES / f"{stem}.json"), "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 0
+    assert counts == applies

@@ -135,3 +135,24 @@ def test_eval_errors():
         evaluate(parse("sqrt(0 - 2)"))
     with pytest.raises(ExprDomainError):
         evaluate(parse("1/x"), {"x": 0.0})
+
+
+@pytest.mark.parametrize("src, values, index, message, subexpr", [
+    ("2 + log(x)", [1.0, 0.5, 0.0, -1.0], 2, "log of non-positive value", "log(x)"),
+    ("sqrt(x - 1)", [1.0, 0.5, 2.0, -3.0], 1, "sqrt of negative value", "sqrt(x - 1)"),
+    ("x + 1/(x - 2)", [0.0, 1.0, 3.0, 2.0], 3, "division by zero", "1/(x - 2)"),
+    ("exp(x)*2", [0.0, 800.0, 700.0, 1e4], 1, "non-finite value", "exp(x)"),
+])
+def test_domain_error_contract(src, values, index, message, subexpr):
+    # scalar input: no index; array input: the first bad entry
+    e = parse(src)
+    with pytest.raises(ExprDomainError) as scalar:
+        evaluate(e, {"x": values[index]})
+    assert str(scalar.value) == f"{message} in '{subexpr}'"
+    assert scalar.value.subexpr == subexpr
+    assert scalar.value.index is None
+    with pytest.raises(ExprDomainError) as array:
+        evaluate(e, {"x": np.array(values)})
+    assert str(array.value) == f"{message} in '{subexpr}' at position {index}"
+    assert array.value.subexpr == subexpr
+    assert array.value.index == index

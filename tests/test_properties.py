@@ -1,12 +1,12 @@
-"""Property tests for the exact discrete identities and the parse/print
-round trip.
+"""Property tests for the exact discrete identities, the parse/print
+round trip, and certify's one-pass grid sampling against scalar evaluation.
 
 Sizes run from 1 to 300 cells, orders over the open interval (0, 1), and
 samples over random node vectors.  Examples are derandomized, so every run
 checks the same cases.
 """
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,7 +21,23 @@ from fracvar import (
     evaluate_functional,
     gradient,
 )
-from fracvar.expressions import FUNCTIONS, Bin, Call, Neg, Num, Var, parse, simplify, to_string
+from fracvar.certify import _MAX_INCONCLUSIVE, _sample_grid
+from fracvar.expressions import (
+    FUNCTIONS,
+    Bin,
+    Call,
+    ExprError,
+    Neg,
+    Num,
+    Var,
+    differentiate,
+    evaluate,
+    parse,
+    simplify,
+    to_string,
+)
+
+from helpers import random_expr
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -128,3 +144,60 @@ def test_to_string_fixpoint_on_simplified(e):
     # Neg(Num): the tree changes, its printed form must not
     printed = to_string(simplify(e))
     assert to_string(parse(printed)) == printed
+
+
+# ------------------------------------------- certify's one-pass grid sampling
+
+def scalar_samples(expr, env, shape, inconclusive, coords):
+    """The oracle for _sample_grid: one scalar evaluate per grid point, NaN
+    and a logged point where it raises."""
+    flat = {k: np.broadcast_to(val, shape).ravel() for k, val in env.items()}
+    out = np.full(int(np.prod(shape)), np.nan)
+    for i in range(out.size):
+        try:
+            out[i] = evaluate(expr, {k: float(val[i]) for k, val in flat.items()})
+        except ExprError:
+            if len(inconclusive) < _MAX_INCONCLUSIVE:
+                inconclusive.append(tuple(float(flat[k][i]) for k in coords))
+    return out.reshape(shape)
+
+
+def assert_samples_as_scalar(expr, box, s, logged):
+    X, U, V = np.meshgrid(*(np.linspace(lo, lo + width, s) for lo, width in box),
+                          indexing="ij")
+    env = {"x": X, "u": U, "v": V}
+    got, want = [(0.0, 0.0, 0.0)] * logged, [(0.0, 0.0, 0.0)] * logged
+    out = _sample_grid(expr, env, X.shape, got, ("x", "u", "v"))
+    ref = scalar_samples(expr, env, X.shape, want, ("x", "u", "v"))
+    assert np.array_equal(np.isnan(out), np.isnan(ref))
+    assert np.array_equal(out[~np.isnan(ref)], ref[~np.isnan(ref)])
+    assert got == want
+
+
+# (lo, width) per axis; the boxes often straddle 0, so log, sqrt and
+# division fail at some grid points
+boxes = st.lists(st.tuples(st.floats(-3.0, 1.0), st.floats(0.1, 4.0)), min_size=3, max_size=3)
+logged = st.integers(0, _MAX_INCONCLUSIVE)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.integers(0, 2**32 - 1), boxes, st.integers(3, 7), logged)
+def test_sample_grid_matches_scalar_evaluation(seed, box, s, n_logged):
+    rng = np.random.default_rng(seed)
+    assert_samples_as_scalar(random_expr(rng, int(rng.integers(1, 6))), box, s, n_logged)
+
+
+# the Lagrangians of the certify tests and of the certify benchmark
+CERTIFY_LAGRANGIANS = ("log(v)", "v^2 - log(v + 2)", "v^2", "-(v^2)", "u^2 + u*v + v^2", "u*v")
+
+
+@PROPERTY
+@given(st.sampled_from(CERTIFY_LAGRANGIANS), boxes, st.integers(3, 9), logged)
+@example("log(v)", [(0.0, 1.0), (-1.0, 2.0), (-1.0, 2.0)], 5, 0)
+@example("v^2 - log(v + 2)", [(0.0, 1.0), (-1.0, 2.0), (-1.0, 2.0)], 9, 0)
+def test_sample_grid_matches_scalar_on_certify_lagrangians(L, box, s, n_logged):
+    # L and every partial check_convexity samples
+    L = parse(L)
+    Lu, Lv = differentiate(L, "u"), differentiate(L, "v")
+    for e in (L, Lu, Lv, differentiate(Lu, "u"), differentiate(Lu, "v"), differentiate(Lv, "v")):
+        assert_samples_as_scalar(e, box, s, n_logged)
