@@ -114,11 +114,15 @@ def _marked(expr: Expr, env: dict, shape) -> tuple[np.ndarray, np.ndarray]:
 
 def _sample_grid(expr: Expr, env: dict, shape, inconclusive: list, coords) -> np.ndarray:
     """Evaluate on a full grid in one array pass; NaN out the points where
-    expr is undefined and log the first of them, in flat order, up to
-    _MAX_INCONCLUSIVE in all, each as its values of the env names in coords."""
+    expr is undefined and log the first of them, in flat order, that are
+    not logged yet, up to _MAX_INCONCLUSIVE in all, each as its values of
+    the env names in coords."""
     out, bad = _marked(expr, env, shape)
-    first = np.unravel_index(np.flatnonzero(bad)[: _MAX_INCONCLUSIVE - len(inconclusive)], shape)
-    inconclusive.extend(zip(*(np.broadcast_to(env[k], shape)[first].tolist() for k in coords)))
+    for point in zip(*(np.broadcast_to(env[k], shape)[bad].tolist() for k in coords)):
+        if len(inconclusive) == _MAX_INCONCLUSIVE:
+            break
+        if point not in inconclusive:
+            inconclusive.append(point)
     return out
 
 

@@ -60,6 +60,11 @@ class Grid:
         w.setflags(write=False)
         return w
 
+    @cached_property
+    def _operator_pairs(self) -> dict:
+        # operator pairs made on this grid, kept by problems._operator_pair
+        return {}
+
     def interior(self, margin: int | None = None) -> slice:
         """Slice of nodes away from both endpoints.
 

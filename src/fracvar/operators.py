@@ -27,21 +27,26 @@ Toeplitz matvec of the kernel with the samples plus O(N) endpoint work.
 The adjoint is the same matvec on reversed, weighted input, divided by
 the weights; the mirror reverses input and output.
 
-Apply cost.  Up to _LEAF cells the matvec is one direct np.convolve,
-O(N^2).  Beyond that it follows the triangular-Toeplitz block scheme of
-Hairer, Lubich and Schlichte (1985): the diagonal triangles of _LEAF rows
-are direct convolutions, and the below-diagonal squares of a dyadic
-splitting (side s = _LEAF, 2 _LEAF, ...) go through one batched FFT of
-size 2s per level, O(N log^2 N) time and O(N) memory in all.  The
-kernel's transform at each level is computed on an operator's first
-apply and kept with it, shared with its adjoint (build_right_adjoint),
-so every later apply of either reuses it.  Causality
-stays exact: each square is transformed on its own (a batched FFT shares
-no arithmetic between rows) and its rows lie strictly after its columns,
-and a direct convolution reads only the samples at or before each
-output.  So output i of a left operator depends on samples 0..i only,
-bit for bit, at every N.  Its round-off is about 1e-15 of the largest
-row sum of |L_ij f_j|, as for the direct convolution.
+Apply cost.  Up to _LEAF = 768 cells the matvec is one direct
+np.convolve, O(N^2).  Beyond that it follows the triangular-Toeplitz
+block scheme of Hairer, Lubich and Schlichte (1985): the diagonal
+triangles of _TRI = 128 rows are one matrix product, the samples cut into
+rows of _TRI times an upper-triangular Toeplitz block of the kernel, and
+the below-diagonal squares of a dyadic splitting (side s = _TRI, 2 _TRI,
+...) go through one batched FFT of size 2s per level, O(N log^2 N) time
+and O(N) memory in all.  The triangle block and the kernel's transform at
+each level are made on an operator's first apply and kept with it, shared
+with its adjoint (build_right_adjoint), so every later apply of either
+reuses them.  Causality stays exact: output i of a left operator depends
+on samples 0..i only, bit for bit, at every N and for any samples.  A
+direct convolution reads only the samples at or before each output; each
+square is transformed on its own (a batched FFT shares no arithmetic
+between rows) and its rows lie strictly after its columns; and the
+triangle product meets each later sample with an exact zero.  Since
+0 * inf and 0 * nan are nan, the product takes a non-finite sample as 0
+and adds its terms to the outputs at and after it on their own.  The
+round-off is about 1e-15 of the largest row sum of |L_ij f_j|, as for
+the direct convolution.
 
 The inverse of the Toeplitz part is lower-triangular Toeplitz as well;
 FracOperator.inverse_kernel gives its kernel in O(N) (closed form for the
@@ -50,6 +55,12 @@ preconditioner applies it through the same matvec.
 
 The dense table (FracOperator.coeffs) is gathered from the kernel on
 first access and then cached.  No library code reads it; tests do.
+
+Sharing.  DiscreteProblem (problems.py) takes each left operator and its
+adjoint from a memo on the Grid, keyed by builder and order, which keeps
+the last 8 pairs made and evicts the oldest.  Every problem on one grid
+object, and every evaluation of one, so reuses the operators with their
+triangle block, level transforms and inverse_kernel.
 
 Operators are immutable; applying one is a pure function.  Endpoint rows
 of derivative-kind operators are reported but unreliable, and the first
@@ -127,12 +138,15 @@ class FracOperator:
 
     Storage is O(N).  apply is one lower-triangular Toeplitz matvec
     (_lower_toeplitz) plus O(N) endpoint work: a direct convolution up to
-    _LEAF cells, the block-FFT scheme beyond, O(N log^2 N) time; exactly
-    causal for left kinds at every N.  _spectra keeps the kernel's
-    per-level transforms from the first block-FFT apply on; an adjoint
-    shares its left operator's dict.  The dense table coeffs is built
-    only when first read (by tests; the library never reads it), then
-    cached.  Construct operators through the build_* functions.
+    _LEAF = 768 cells; beyond, the block scheme with _TRI = 128 triangles
+    as one matrix product and FFT squares, O(N log^2 N) time.  Left kinds
+    are exactly causal at every N, non-finite samples included.  _spectra
+    keeps the triangle block and the kernel's per-level transforms from
+    the first block-path apply on; an adjoint shares its left operator's
+    dict.  The dense table coeffs is built only when first read (by
+    tests; the library never reads it), then cached.  Construct operators
+    through the build_* functions; DiscreteProblem takes them from a
+    memo on the grid that keeps the last 8 (operator, adjoint) pairs.
     """
 
     kind: OperatorKind
@@ -249,39 +263,55 @@ class FracOperator:
         return table
 
 
-# side of the diagonal triangles that _lower_toeplitz convolves directly;
-# at or below it the whole matvec is one np.convolve
-_LEAF = 512
+# at or below _LEAF samples _lower_toeplitz is one np.convolve; beyond,
+# its block scheme's diagonal triangles have side _TRI
+_LEAF = 768
+_TRI = 128
 
 
 def _lower_toeplitz(t: np.ndarray, x: np.ndarray, spectra: dict | None = None) -> np.ndarray:
     """y[i] = sum_{j <= i} t[i - j] x[j] for i < n = len(x); t has >= n lags.
 
-    Hairer-Lubich-Schlichte block scheme: the diagonal triangles of _LEAF
-    rows are direct convolutions; at each level s = _LEAF, 2 _LEAF, ...
-    the squares with rows [(2q+1)s, (2q+2)s) and columns [2qs, (2q+1)s)
-    use lags 1..2s-1 and go through one batched rfft/irfft of size 2s.
-    Every (row, column) pair below the diagonal triangles lies in exactly
-    one square: the level of the highest bit where their leaf indices
-    differ.
+    Up to _LEAF samples, one direct convolution.  Beyond, the
+    Hairer-Lubich-Schlichte block scheme: the diagonal triangles of _TRI
+    rows are one matrix product of the samples, _TRI to a row, with the
+    upper-triangular Toeplitz block tri[j, i] = t[i - j] (j <= i); at each
+    level s = _TRI, 2 _TRI, ... the squares with rows [(2q+1)s, (2q+2)s)
+    and columns [2qs, (2q+1)s) use lags 1..2s-1 and go through one batched
+    rfft/irfft of size 2s.  Every (row, column) pair below the diagonal
+    triangles lies in exactly one square: the level of the highest bit
+    where their triangle indices differ.  The product meets each later
+    sample with an exact zero, and 0 * inf and 0 * nan are nan, so it
+    takes a non-finite sample j as 0, and j's terms are added to rows j
+    up to the end of its triangle on their own.
 
-    spectra, if given, is a dict the caller keeps for t: it maps (n, s)
-    to the transform of t's lags at level s, filled on first use and read
-    by later calls.  Reading the same rfft output changes no bit of y.
+    spectra, if given, is a dict the caller keeps for t: it maps "tri" to
+    the triangle block and (n, s) to the transform of t's lags at level s,
+    each filled on first use and read by later calls.  Reading them
+    changes no bit of y.
     """
     n = x.size
     if n <= _LEAF:
         return np.convolve(t[:n], x)[:n]
-    # pad to _LEAF * 2^k so that every level's squares tile the arrays
-    size = _LEAF << (-(-n // _LEAF) - 1).bit_length()
+    # pad to _TRI * 2^k so that every level's squares tile the arrays
+    size = _TRI << (-(-n // _TRI) - 1).bit_length()
     cols = np.zeros(size)
     cols[:n] = x
     y = np.zeros(size)
-    for lo in range(0, n, _LEAF):
-        m = min(_LEAF, n - lo)
-        y[lo : lo + m] = np.convolve(t[:m], x[lo : lo + m])[:m]
     spectra = {} if spectra is None else spectra
-    s = _LEAF
+    if "tri" not in spectra:
+        # row j: zeros before column j, then t[0], ..., t[_TRI - 1 - j]
+        padded = np.concatenate((np.zeros(_TRI - 1), t[:_TRI]))
+        spectra["tri"] = sliding_window_view(padded, _TRI)[::-1].copy()
+    lead = cols[: -(-n // _TRI) * _TRI]
+    bad = ~np.isfinite(lead)
+    if bad.any():
+        lead = np.where(bad, 0.0, lead)
+    np.matmul(lead.reshape(-1, _TRI), spectra["tri"], out=y[: lead.size].reshape(-1, _TRI))
+    for j in np.flatnonzero(bad):
+        end = j - j % _TRI + _TRI
+        y[j:end] += t[: end - j] * x[j]
+    s = _TRI
     while s < n:
         if (n, s) not in spectra:
             # lags 1..2s-1 of t; those at n or beyond reach no row below n

@@ -256,10 +256,12 @@ class DiscreteProblem:
     whether L or the constraint reads channel a; partials[a] is dL/da, or
     None where L does not read a.  A map is (left operator, its
     quadrature adjoint, unknown index, whether node 0 continues node 1);
-    the operators of live channels are built here, one pair per order,
-    and the others only when maps is read.  Channel lists (from channels;
-    into env, functional_value and curvature) follow the channel order,
-    with None for channels that are not live.
+    the operators of live channels are taken here, one pair per order,
+    and the others only when maps is read, from the grid's memo
+    (_operator_pair), which builds a pair the grid does not keep.
+    Channel lists (from channels; into env, functional_value and
+    curvature) follow the channel order, with None for channels that
+    are not live.
     """
 
     def __init__(self, problem: VarProblem, grid: Grid):
@@ -297,13 +299,13 @@ class DiscreteProblem:
     # -- channel maps ------------------------------------------------------
 
     def _map(self, a: int) -> tuple[FracOperator, FracOperator, int, bool]:
-        """Channel a's map; its order's operator and adjoint are built on
-        first use and shared by the channels of that order."""
+        """Channel a's map; its order's operator and adjoint are taken on
+        first use from the grid (_operator_pair) and shared by the
+        channels of that order."""
         i, k = divmod(a, self.problem.n_unknowns)
         if i not in self._operators:
             build, order, continued = self._orders[i]
-            op = build(self.grid, order)
-            self._operators[i] = (op, build_right_adjoint(op), continued)
+            self._operators[i] = (*_operator_pair(self.grid, build, order), continued)
         op, adjoint, continued = self._operators[i]
         return op, adjoint, k, continued
 
@@ -476,6 +478,21 @@ class DiscreteProblem:
 
 # preconditioner weights are floored at this fraction of the largest
 _WEIGHT_FLOOR = 1e-12
+# operator pairs a grid keeps, the oldest evicted first
+_GRID_OPERATORS = 8
+
+
+def _operator_pair(grid: Grid, build, order: float) -> tuple[FracOperator, FracOperator]:
+    """build(grid, order) and its adjoint, kept on the grid for the next
+    problem on it: they share the kernel transforms their applies keep and
+    inverse_kernel.  A grid keeps the _GRID_OPERATORS pairs last made."""
+    memo = grid._operator_pairs
+    if (build, order) not in memo:
+        if len(memo) == _GRID_OPERATORS:
+            del memo[next(iter(memo))]
+        op = build(grid, order)
+        memo[build, order] = (op, build_right_adjoint(op))
+    return memo[build, order]
 
 
 def _strength(op: FracOperator) -> float:

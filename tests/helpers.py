@@ -8,6 +8,7 @@ print/parse round trip can be compared structurally.
 import numpy as np
 
 from fracvar.expressions import Bin, Call, Expr, Neg, Num, Var
+from fracvar.operators import _TRI
 
 ALL_FUNCS = ("sin", "cos", "exp", "log", "sqrt")
 BIN_OPS = ("+", "-", "*", "/", "^")
@@ -120,3 +121,9 @@ def dense_adjoint(grid, left: np.ndarray) -> np.ndarray:
 
 def dense_mirror(left: np.ndarray) -> np.ndarray:
     return left[::-1, ::-1].copy()
+
+
+def levels(n: int) -> list[int]:
+    """The level sides s of the block-path matvec of n samples:
+    _TRI, 2 _TRI, ... below n."""
+    return [_TRI << k for k in range(n.bit_length()) if _TRI << k < n]

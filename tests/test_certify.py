@@ -88,6 +88,13 @@ def test_domain_failures_are_inconclusive_not_violations():
     assert len(rep.inconclusive) <= 16
 
 
+def test_inconclusive_points_are_distinct():
+    # 1/v and its partial in v both fail at v = 0; each point is logged once
+    rep = check_convexity("1/v", ((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)))
+    assert len(rep.inconclusive) == 16
+    assert len(set(rep.inconclusive)) == 16
+
+
 def test_samples_per_axis_validation():
     with pytest.raises(ValueError):
         check_convexity("v^2", BOX, samples_per_axis=2)

@@ -597,6 +597,22 @@ def test_sweep_domain_error_is_a_row_per_order(tmp_path):
     assert statuses == [r["status"] for r in rows]
 
 
+def test_solve_builds_each_operator_once(tmp_path, monkeypatch):
+    # nodes.csv and the residual take the operators the solver built
+    import fracvar.problems
+
+    counts = {}
+    for name in ("build_left_rlfi", "build_left_rlfd", "build_right_adjoint"):
+        def counted(*args, _build=getattr(fracvar.problems, name), _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _build(*args)
+        monkeypatch.setattr(fracvar.problems, name, counted)
+    rc = main(["run", str(FIXTURES / "solve_quadratic.json"), "--out", str(tmp_path / "out"),
+               "--quiet"])
+    assert rc == 0
+    assert counts == {"build_left_rlfd": 1, "build_left_rlfi": 1, "build_right_adjoint": 2}
+
+
 @pytest.mark.parametrize("stem, applies", [
     ("el_residual_extremal", {"left": 2, "adjoint": 1}),
     ("functional_zero", {"left": 2}),

@@ -23,7 +23,7 @@ from fracvar import (
     gamma,
     gradient,
 )
-from helpers import dense_adjoint, dense_left_rlfd, dense_left_rlfi, dense_mirror
+from helpers import dense_adjoint, dense_left_rlfd, dense_left_rlfi, dense_mirror, levels
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -372,7 +372,8 @@ def test_residual_and_gradient_build_no_dense_table(monkeypatch):
     assert np.isfinite(el_residual(p, y, g).norm)
     assert np.isfinite(evaluate_functional(p, y, g))
     assert np.all(np.isfinite(gradient(p, y, g)))
-    assert len(made) == 3 * 4
+    # the grid keeps the four operators for the later evaluations
+    assert len(made) == 4
     assert all("coeffs" not in op.__dict__ for op in made)
 
 
@@ -472,7 +473,7 @@ def test_block_apply_integration_by_parts():
             assert abs(lhs - rhs) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("n", (1, 2, 7, 300, LEAF - 1, LEAF))
+@pytest.mark.parametrize("n", (1, 2, 7, 300, 511, 512, LEAF - 1, LEAF))
 def test_apply_up_to_leaf_is_one_direct_convolution(n, monkeypatch):
     g = Grid(0.0, 1.0, n)
     rng = np.random.default_rng(n)
@@ -488,10 +489,10 @@ def test_apply_up_to_leaf_is_one_direct_convolution(n, monkeypatch):
 
 @pytest.mark.parametrize("build", (build_left_rlfi, build_left_rlfd))
 def test_operator_and_adjoint_transform_the_kernel_once_per_level(build, monkeypatch):
-    # at N = 4096 the block path has levels s = 512, 1024, 2048; six applies
-    # of a left operator and its adjoint transform the kernel once per
-    # level (the only one-dimensional rffts), and every warm apply has the
-    # bits of a freshly built operator's apply
+    # at N = 4096 six applies of a left operator and its adjoint transform
+    # the kernel once per block-path level (the only one-dimensional
+    # rffts), and every warm apply has the bits of a freshly built
+    # operator's apply
     n = 4096
     g = Grid(0.0, 1.0, n)
     inputs = np.random.default_rng(67).standard_normal((3, n + 1))
@@ -513,7 +514,7 @@ def test_operator_and_adjoint_transform_the_kernel_once_per_level(build, monkeyp
     for f, (left, right) in zip(inputs, fresh):
         assert np.array_equal(op.apply(f), left)
         assert np.array_equal(adj.apply(f), right)
-    assert kernel_sizes == [2 * LEAF - 1, 4 * LEAF - 1, 8 * LEAF - 1]
+    assert kernel_sizes == [2 * s - 1 for s in levels(n)]
 
 
 @pytest.mark.parametrize("n", (1, 7, 300, 2048))

@@ -276,7 +276,8 @@ def record_operator_work(monkeypatch):
 
 def test_only_live_channels_are_built_and_applied(monkeypatch):
     # (v - 1)^2 reads v alone: the RLFD and its adjoint are built, the
-    # residual applies both and the functional the RLFD alone
+    # residual applies both and the functional the RLFD alone, from the
+    # pair the grid kept
     built, applied = record_operator_work(monkeypatch)
     g = Grid(0.0, 1.0, 4096)
     p = half_problem("(v - 1)^2")
@@ -287,8 +288,26 @@ def test_only_live_channels_are_built_and_applied(monkeypatch):
     built.clear()
     applied.clear()
     assert np.isfinite(evaluate_functional(p, y, g))
-    assert len(built) == 2
+    assert len(built) == 0
     assert applied == [OperatorKind.LEFT_RLFD]
+
+
+def test_grid_keeps_the_last_eight_operator_pairs():
+    # nine orders of v^2 on one grid: the first pair is evicted, the
+    # last one is reused
+    g = Grid(0.0, 1.0, 16)
+
+    def pair(beta):
+        p = VarProblem(0.0, 1.0, alphas=0.5, betas=beta, lagrangian="v^2")
+        return assemble(p, g)._map(1)[:2]
+
+    betas = [k / 10 for k in range(1, 10)]
+    first = [pair(b) for b in betas]
+    assert len(g._operator_pairs) == 8
+    last = pair(betas[-1])
+    assert last[0] is first[-1][0] and last[1] is first[-1][1]
+    assert pair(betas[0])[0] is not first[0][0]
+    assert len(g._operator_pairs) == 8
 
 
 def test_partial_of_an_unread_channel_is_dropped(monkeypatch):

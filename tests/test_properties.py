@@ -1,9 +1,11 @@
-"""Property tests for the exact discrete identities, the parse/print
-round trip, and certify's one-pass grid sampling against scalar evaluation.
+"""Property tests for the exact discrete identities, the Toeplitz matvec
+against direct convolution, the parse/print round trip, and certify's
+one-pass grid sampling against scalar evaluation.
 
-Sizes run from 1 to 300 cells, orders over the open interval (0, 1), and
-samples over random node vectors.  Examples are derandomized, so every run
-checks the same cases.
+Sizes run from 1 to 300 cells (to 3000 for the matvec, across both of its
+cutoffs), orders over the open interval (0, 1), and samples over random
+node vectors.  Examples are derandomized, so every run checks the same
+cases.
 """
 import numpy as np
 from hypothesis import example, given, settings
@@ -21,6 +23,7 @@ from fracvar import (
     evaluate_functional,
     gradient,
 )
+from fracvar import operators
 from fracvar.certify import _MAX_INCONCLUSIVE, _sample_grid
 from fracvar.expressions import (
     FUNCTIONS,
@@ -91,6 +94,59 @@ def test_gradient_identity_quadratic(case, alpha, beta, c):
     assert abs((j_plus - j_minus) / 2.0 - float(grad @ d)) <= 1e-11 * scale
 
 
+# ------------------------------------------------ the lower Toeplitz matvec
+
+matvec_sizes = st.integers(min_value=1, max_value=3000)
+kernels = st.sampled_from((build_left_rlfi, build_left_rlfd))
+# the sizes on both sides of the triangle side and of the direct cutoff
+EDGES = (operators._TRI, operators._TRI + 1, operators._LEAF, operators._LEAF + 1, 3000)
+
+
+def kernel_and_samples(n, order, build, seed):
+    t = build(Grid(0.0, 1.0, n), order)._kernel
+    return t, np.random.default_rng(seed).standard_normal(n)
+
+
+@PROPERTY
+@given(matvec_sizes, orders, kernels, st.integers(0, 2**32 - 1))
+@example(EDGES[0], 0.5, build_left_rlfi, 1)
+@example(EDGES[1], 0.5, build_left_rlfd, 2)
+@example(EDGES[2], 0.5, build_left_rlfi, 3)
+@example(EDGES[3], 0.5, build_left_rlfd, 4)
+@example(EDGES[4], 0.5, build_left_rlfi, 5)
+def test_lower_toeplitz_matches_direct_convolution(n, order, build, seed):
+    # round-off within 1e-13 of the largest sum of |terms| over an output
+    t, x = kernel_and_samples(n, order, build, seed)
+    got = operators._lower_toeplitz(t, x, {})
+    want = np.convolve(t[:n], x)[:n]
+    scale = float(np.max(np.convolve(np.abs(t[:n]), np.abs(x))[:n]))
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+bumps = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from((np.nan, np.inf, -np.inf)))
+
+
+@PROPERTY
+@given(matvec_sizes, orders, kernels, st.integers(0, 2**32 - 1), st.integers(0, 2999), bumps)
+@example(3000, 0.5, build_left_rlfd, 6, 700, np.nan)
+@example(EDGES[3], 0.5, build_left_rlfi, 7, operators._TRI, np.inf)
+@example(EDGES[3], 0.5, build_left_rlfi, 8, operators._LEAF, 1e308)
+def test_lower_toeplitz_is_causal(n, order, build, seed, j, bump):
+    # setting sample j to any value, finite or not, leaves every output
+    # before j bit-identical, on cold and warm kernel transforms
+    t, x = kernel_and_samples(n, order, build, seed)
+    j %= n
+    spectra = {}
+    base = operators._lower_toeplitz(t, x, spectra)
+    x[j] = bump
+    with np.errstate(over="ignore", invalid="ignore"):
+        warm = operators._lower_toeplitz(t, x, spectra)
+        cold = operators._lower_toeplitz(t, x)
+    assert warm[:j].tobytes() == base[:j].tobytes()
+    assert cold[:j].tobytes() == base[:j].tobytes()
+
+
 # smooth in u and v, with curvature that varies and u-u, u-v and v-v terms
 NONQUADRATIC = "v^2 + v^4/8 + u*v + u^2*v/2 + cos(u)"
 
@@ -150,15 +206,16 @@ def test_to_string_fixpoint_on_simplified(e):
 
 def scalar_samples(expr, env, shape, inconclusive, coords):
     """The oracle for _sample_grid: one scalar evaluate per grid point, NaN
-    and a logged point where it raises."""
+    and a logged point where it raises, unless that point is logged already."""
     flat = {k: np.broadcast_to(val, shape).ravel() for k, val in env.items()}
     out = np.full(int(np.prod(shape)), np.nan)
     for i in range(out.size):
         try:
             out[i] = evaluate(expr, {k: float(val[i]) for k, val in flat.items()})
         except ExprError:
-            if len(inconclusive) < _MAX_INCONCLUSIVE:
-                inconclusive.append(tuple(float(flat[k][i]) for k in coords))
+            point = tuple(float(flat[k][i]) for k in coords)
+            if len(inconclusive) < _MAX_INCONCLUSIVE and point not in inconclusive:
+                inconclusive.append(point)
     return out.reshape(shape)
 
 
@@ -195,6 +252,8 @@ CERTIFY_LAGRANGIANS = ("log(v)", "v^2 - log(v + 2)", "v^2", "-(v^2)", "u^2 + u*v
 @given(st.sampled_from(CERTIFY_LAGRANGIANS), boxes, st.integers(3, 9), logged)
 @example("log(v)", [(0.0, 1.0), (-1.0, 2.0), (-1.0, 2.0)], 5, 0)
 @example("v^2 - log(v + 2)", [(0.0, 1.0), (-1.0, 2.0), (-1.0, 2.0)], 9, 0)
+# log(v) fails at the point (0, 0, 0) the list starts with
+@example("log(v)", [(0.0, 1.0), (-1.0, 2.0), (-1.0, 2.0)], 3, 2)
 def test_sample_grid_matches_scalar_on_certify_lagrangians(L, box, s, n_logged):
     # L and every partial check_convexity samples
     L = parse(L)

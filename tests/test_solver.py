@@ -8,6 +8,7 @@ from fracvar import (
     Constraint,
     ExprDomainError,
     Grid,
+    OperatorKind,
     SolveConfig,
     VarProblem,
     assemble,
@@ -26,7 +27,7 @@ import fracvar.problems
 import fracvar.solve as solve_module
 from fracvar import operators
 from fracvar.problems import DiscreteProblem
-from helpers import random_smooth_samples
+from helpers import levels, random_smooth_samples
 
 ISO_CFG = SolveConfig(max_iters=8000, grad_tol=1e-6)
 
@@ -382,6 +383,8 @@ def test_hessian_builds_only_curved_tables(monkeypatch):
         return assembled[-1]
 
     monkeypatch.setattr(solve_module, "assemble", recording)
+    # a fresh grid: g keeps the operators whose coeffs were read above
+    g = Grid(0.0, 1.0, 64)
     assert minimize(quad_problem(), g).converged
     assert solve_isoperimetric(iso_problem(1.0), g).converged
     assert len(assembled) == 3
@@ -417,9 +420,9 @@ def test_solvers_evaluate_no_curvature_where_they_stop(n, monkeypatch):
 
 def test_preconditioner_transforms_the_inverse_kernel_once_per_level(monkeypatch):
     # node 0 free at N = 1024: each Toeplitz solve has 1025 unknowns and
-    # takes the block path (levels s = 512, 1024); the two solves of every
-    # call share one transform per level, and the output has the bits of
-    # solves that transform the kernel afresh
+    # takes the block path; the two solves of every call share one
+    # transform per level, and the output has the bits of solves that
+    # transform the kernel afresh
     p = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian="(v - 1)^2")
     g = Grid(0.0, 1.0, 1024)
     dp = assemble(p, g)
@@ -441,7 +444,7 @@ def test_preconditioner_transforms_the_inverse_kernel_once_per_level(monkeypatch
     monkeypatch.setattr(np.fft, "rfft", counting)
     for r, z in zip(R, want):
         assert np.array_equal(precond(r), z)
-    assert kernel_sizes == [2 * operators._LEAF - 1, 4 * operators._LEAF - 1]
+    assert kernel_sizes == [2 * s - 1 for s in levels(g.n_nodes)]
 
 
 def test_minimize_two_unknowns_two_orders():
@@ -471,6 +474,24 @@ def test_iso_lambda_minus_two(grid256):
     assert abs(report.constraint_gap) <= 1e-3
     dv = build_left_rlfd(grid256, 0.5).apply(report.y.values)
     assert np.max(np.abs(dv[grid256.interior()] - 1.0)) <= 2e-2
+
+
+def test_iso_builds_each_operator_once(monkeypatch):
+    # L and the constraint read the same channel v: the constraint's
+    # problem takes the RLFD and its adjoint that L's problem built
+    built = []
+
+    def recording(build):
+        def wrapped(*args):
+            built.append(build(*args))
+            return built[-1]
+        return wrapped
+
+    for name in ("build_left_rlfi", "build_left_rlfd", "build_right_adjoint"):
+        monkeypatch.setattr(fracvar.problems, name,
+                            recording(getattr(fracvar.problems, name)))
+    assert solve_isoperimetric(iso_problem(1.0), Grid(0.0, 1.0, 1024)).converged
+    assert [op.kind for op in built] == [OperatorKind.LEFT_RLFD, OperatorKind.RIGHT_RLFD]
 
 
 def test_iso_default_config(grid64):

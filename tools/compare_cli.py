@@ -57,6 +57,10 @@ VARIANTS = {
     "tiny-alpha": ("el_residual_extremal", {"orders": {"alpha": 1e-17, "beta": 0.5}}, []),
     "n-cells-0": ("solve_quadratic", {}, ["--n-cells", "0"]),
     "n-cells-32": ("el_residual_extremal", {}, ["--n-cells", "32"]),
+    # past the direct-convolution cutoff: the triangle products, the FFT
+    # levels and the preconditioner's block solves
+    "el-residual-n-cells-2048": ("el_residual_extremal", {}, ["--n-cells", "2048"]),
+    "solve-n-cells-2048": ("solve_quadratic", {}, ["--n-cells", "2048"]),
     "solver-step-init": ("solve_quadratic", {"solver": {"step_init": 0.5}}, []),
     "no-converge": (
         "solve_quadratic", {"lagrangian": "(v - 1)^2 + v^4",
