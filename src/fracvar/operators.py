@@ -60,7 +60,8 @@ Sharing.  DiscreteProblem (problems.py) takes each left operator and its
 adjoint from a memo on the Grid, keyed by builder and order, which keeps
 the last 8 pairs made and evicts the oldest.  Every problem on one grid
 object, and every evaluation of one, so reuses the operators with their
-triangle block, level transforms and inverse_kernel.
+triangle block, level transforms and inverse_kernel, and every
+preconditioner the transforms of inverse_kernel.
 
 Operators are immutable; applying one is a pure function.  Endpoint rows
 of derivative-kind operators are reported but unreliable, and the first
@@ -142,11 +143,13 @@ class FracOperator:
     as one matrix product and FFT squares, O(N log^2 N) time.  Left kinds
     are exactly causal at every N, non-finite samples included.  _spectra
     keeps the triangle block and the kernel's per-level transforms from
-    the first block-path apply on; an adjoint shares its left operator's
-    dict.  The dense table coeffs is built only when first read (by
-    tests; the library never reads it), then cached.  Construct operators
-    through the build_* functions; DiscreteProblem takes them from a
-    memo on the grid that keeps the last 8 (operator, adjoint) pairs.
+    the first block-path apply on, and under "inverse" those of
+    inverse_kernel for the preconditioner; an adjoint shares its left
+    operator's dict.  The dense table coeffs is built only when first
+    read (by tests; the library never reads it), then cached.  Construct
+    operators through the build_* functions; DiscreteProblem takes them
+    from a memo on the grid that keeps the last 8 (operator, adjoint)
+    pairs.
     """
 
     kind: OperatorKind

@@ -462,11 +462,12 @@ class DiscreteProblem:
             top = np.max(ws)
             if top > 0.0:
                 blocks.append((k, lo, op.inverse_kernel,
-                               np.maximum(ws, _WEIGHT_FLOOR * top), {}))
+                               np.maximum(ws, _WEIGHT_FLOOR * top),
+                               op._spectra.setdefault("inverse", {})))
 
         def apply(R: np.ndarray) -> np.ndarray:
-            # the two solves of every call read the transforms of c that
-            # the first call made, one per level
+            # the two solves read the transforms of c, one per level, that
+            # the first solve through this operator made
             Z = R.copy()
             for k, lo, c, ws, spectra in blocks:
                 u = _lower_toeplitz(c, R[k, lo:][::-1], spectra)[::-1] / ws

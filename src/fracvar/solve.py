@@ -1,25 +1,31 @@
 """Direct minimization of discretized fractional functionals.
 
-minimize runs damped Newton on the free node values; pinned endpoint
-values never move.  Each step solves H d = -g by matrix-free
-preconditioned CG (DiscreteProblem.hessian_product and .preconditioner),
-truncated at the first direction of nonpositive curvature for nonconvex
-L (Steihaug 1983), so every step is a descent direction (_pcg).
-Armijo backtracking halves the step from the full Newton step, so the J
-history is nonincreasing; it rejects a trial point where the next step
-cannot be formed (outside L's domain, or with a non-finite gradient).
+minimize and solve_isoperimetric run one loop, _newton: damped Newton on
+the free node values, whose pinned endpoint values never move.  Each step
+solves H d = -grad J by matrix-free preconditioned CG
+(DiscreteProblem.hessian_product and .preconditioner), truncated at the
+first direction of nonpositive curvature for nonconvex L (Steihaug 1983),
+so every step is a descent direction (_pcg).  Armijo backtracking halves
+the step from the full Newton step (_backtrack), so without a constraint
+the J history is nonincreasing.  It rejects a trial point where the next
+step cannot be formed (outside L's domain, or with a non-finite gradient),
+and it evaluates the curvature only where the solve goes on.
 
-solve_isoperimetric runs equality-constrained Newton on the bordered system
+A constraint int g dx = ell (solve_isoperimetric) adds a multiplier lam,
+starting at 0, and five things to the loop: the gap C - ell and the
+residual of C; the curvature of L + lam g as H; a second PCG solve, so
+that each step solves the bordered system
 
     [H_L + lam H_g   grad C] [  d    ]   [ -grad J   ]
     [grad C^T          0   ] [lam_new] = [-(C - ell)]
 
-in range-space form: two PCG solves, H x = -grad J and H z = grad C, give
-lam_new = (grad C^T x + C - ell) / (grad C^T z) and d = x - lam_new z.  It
-backtracks on the squared residual of the optimality conditions.  A
-vanishing constraint gradient, or grad C^T z ~ 0 (the bordered matrix is
-singular), is the abnormal case: it is reported with lam=None and a
-RuntimeWarning, not solved.
+in range-space form, H x = -grad J and H z = grad C giving
+lam_new = (grad C^T x + C - ell) / (grad C^T z) and d = x - lam_new z;
+the squared residual of the optimality conditions as the line-search
+merit in place of J; and lam and the gap in the report.  A vanishing
+constraint gradient, or grad C^T z ~ 0 (the bordered matrix is singular),
+is the abnormal case: it is reported with lam=None and a RuntimeWarning,
+not solved.
 """
 
 from __future__ import annotations
@@ -208,6 +214,133 @@ def _backtrack(trial):
     return None, None
 
 
+def _newton(problem: VarProblem, grid: Grid, cfg: SolveConfig | None, y0) -> SolveReport:
+    """The damped Newton-PCG loop of both solvers, as the module docstring
+    describes it.
+
+    Without a constraint lam stays 0, the gap is 0 and r_C is None, so
+    each iterate is a point of L alone.
+    """
+    cfg = cfg or SolveConfig()
+    con = problem.constraint
+    # dp applies the channels L or g reads; dp_con pulls back g's partials
+    dp = assemble(problem, grid)
+    if con is not None:
+        dp_con = assemble(dataclasses.replace(problem, lagrangian=con.g), grid)
+    L = problem.lagrangian
+    w = grid.quad_weights
+    mask = _free_mask(problem, grid)
+
+    def residuals(c, lam):
+        """The constraint gap, the residuals of J and C, and that of
+        L + lam g at the channels c."""
+        r_J = dp._residual_from(c)
+        if con is None:
+            return 0.0, r_J, None, r_J
+        r_C = dp_con._residual_from(c)
+        return dp.functional_value(con.g, c) - con.ell, r_J, r_C, r_J + lam * r_C
+
+    def merit(r, gap):
+        """Squared residual of the optimality conditions, r the residual of
+        L + lam g."""
+        g = (w * r)[mask]
+        return float(g @ g + gap * gap)
+
+    def stop_at(norm, gap, r_C, steps):
+        """Why the solve ends at a point of residual norm norm (of L + lam g)
+        reached in steps steps, or None where it goes on."""
+        if con is not None and weighted_norm(grid, r_C * mask) <= _ABNORMAL_TOL:
+            return "degenerate_constraint"
+        if norm <= cfg.grad_tol and abs(gap) <= _GAP_TOL:
+            return "converged"
+        return "max_iters" if steps >= cfg.max_iters else None
+
+    def curvature(c, lam, gap, r_C, r, steps):
+        """The curvature of L + lam g at c, or None where the solve ends."""
+        if stop_at(weighted_norm(grid, r * mask), gap, r_C, steps):
+            return None
+        curv = dp.curvature(c)
+        if con is not None:
+            for key, s in dp_con.curvature(c).items():
+                curv[key] = curv[key] + lam * s if key in curv else lam * s
+        return curv
+
+    Y = _start(problem, grid, y0)
+    c = dp.channels(Y)
+    lam = 0.0
+    J = dp.functional_value(L, c)
+    gap, r_J, r_C, r = residuals(c, lam)
+    if not np.isfinite(J + gap) or not np.all(np.isfinite(r)):
+        raise ArithmeticError("non-finite functional value or gradient at iteration 0")
+    curv = curvature(c, lam, gap, r_C, r, 0)
+    history = []
+    iters = linear_iters = 0
+    while True:
+        norm = weighted_norm(grid, r * mask)
+        history.append((J, norm))
+        stop = stop_at(norm, gap, r_C, iters)
+        if stop:
+            break
+        g_J = w * r_J * mask
+        D, n_cg = _pcg(dp, curv, mask, -g_J)
+        linear_iters += n_cg
+        lam_new = lam
+        if con is None:
+            slope = float(np.vdot(g_J, D))
+        else:
+            # the range-space step of the bordered system: D is x, z solves
+            # H z = grad C, and lam_new and d = x - lam_new z follow
+            gC = w * r_C * mask
+            z, n_cg = _pcg(dp, curv, mask, gC)
+            linear_iters += n_cg
+            cz = float(np.vdot(gC, z))
+            if not abs(cz) > _ABNORMAL_TOL * np.linalg.norm(gC) * np.linalg.norm(z):
+                stop = "degenerate_constraint"
+                break
+            lam_new = (float(np.vdot(gC, D)) + gap) / cz
+            D = D - lam_new * z
+            m0 = merit(r, gap)
+        dc = dp.channels(D)
+
+        def trial(t):
+            c_t = _shifted(c, dc, t)
+            J_t = dp.functional_value(L, c_t)
+            if not np.isfinite(J_t) or (con is None and not J_t <= J + _ARMIJO_C * t * slope):
+                return None
+            lam_t = lam + t * (lam_new - lam)
+            gap_t, r_J_t, r_C_t, r_t = residuals(c_t, lam_t)
+            if con is not None:
+                m_t = merit(r_t, gap_t)
+                if not (np.isfinite(m_t) and m_t <= (1.0 - 2.0 * _ARMIJO_C * t) * m0):
+                    return None
+            # the next Newton step needs a finite residual and the curvature,
+            # which a point that ends the solve does not evaluate
+            if not np.all(np.isfinite(r_t)):
+                return None
+            return (c_t, lam_t, J_t, gap_t, r_J_t, r_C_t, r_t,
+                    curvature(c_t, lam_t, gap_t, r_C_t, r_t, iters + 1))
+
+        t, accepted = _backtrack(trial)
+        if t is None:
+            stop = "line_search_stalled"
+            break
+        Y = Y + t * D
+        c, lam, J, gap, r_J, r_C, r, curv = accepted
+        iters += 1
+    return SolveReport(
+        y=_pack_y(grid, Y),
+        J=J,
+        residual_norm=norm,
+        lam=None if con is None or stop == "degenerate_constraint" else lam,
+        constraint_gap=None if con is None else gap,
+        iters=iters,
+        converged=stop == "converged",
+        history=np.array(history),
+        stop_reason=stop,
+        linear_iters=linear_iters,
+    )
+
+
 def minimize(
     problem: VarProblem,
     grid: Grid,
@@ -227,76 +360,7 @@ def minimize(
     if problem.constraint is not None:
         raise ValueError("minimize handles unconstrained problems; "
                          "use solve_isoperimetric when a constraint is present")
-    cfg = cfg or SolveConfig()
-    dp = assemble(problem, grid)
-    L = problem.lagrangian
-    w = grid.quad_weights
-    mask = _free_mask(problem, grid)
-
-    def stop_at(norm, steps):
-        """Why the solve ends at a point of residual norm norm reached in
-        steps steps, or None where it goes on."""
-        if norm <= cfg.grad_tol:
-            return "converged"
-        return "max_iters" if steps >= cfg.max_iters else None
-
-    def curvature(c, r, steps):
-        """The curvature of L at c, or None where the solve ends."""
-        return None if stop_at(weighted_norm(grid, r * mask), steps) else dp.curvature(c)
-
-    Y = _start(problem, grid, y0)
-    c = dp.channels(Y)
-    J = dp.functional_value(L, c)
-    r = dp._residual_from(c)
-    g = w * r * mask
-    if not np.isfinite(J) or not np.all(np.isfinite(g)):
-        raise ArithmeticError("non-finite functional value or gradient at iteration 0")
-    curv = curvature(c, r, 0)
-    history = []
-    iters = linear_iters = 0
-    while True:
-        norm = weighted_norm(grid, r * mask)
-        history.append((J, norm))
-        stop = stop_at(norm, iters)
-        if stop:
-            break
-        D, n_cg = _pcg(dp, curv, mask, -g)
-        linear_iters += n_cg
-        dc = dp.channels(D)
-        slope = float(np.vdot(g, D))
-
-        def trial(t):
-            c_t = _shifted(c, dc, t)
-            J_t = dp.functional_value(L, c_t)
-            if not (np.isfinite(J_t) and J_t <= J + _ARMIJO_C * t * slope):
-                return None
-            # the next Newton step needs a finite gradient and the curvature,
-            # which a point that ends the solve does not evaluate
-            r_t = dp._residual_from(c_t)
-            g_t = w * r_t * mask
-            if not np.all(np.isfinite(g_t)):
-                return None
-            return c_t, J_t, r_t, g_t, curvature(c_t, r_t, iters + 1)
-
-        t, accepted = _backtrack(trial)
-        if t is None:
-            stop = "line_search_stalled"
-            break
-        Y = Y + t * D
-        c, J, r, g, curv = accepted
-        iters += 1
-    return SolveReport(
-        y=_pack_y(grid, Y),
-        J=J,
-        residual_norm=norm,
-        lam=None,
-        constraint_gap=None,
-        iters=iters,
-        converged=stop == "converged",
-        history=np.array(history),
-        stop_reason=stop,
-        linear_iters=linear_iters,
-    )
+    return _newton(problem, grid, cfg, y0)
 
 
 def solve_isoperimetric(
@@ -317,113 +381,13 @@ def solve_isoperimetric(
     """
     if problem.constraint is None:
         raise ValueError("solve_isoperimetric requires a problem with a constraint")
-    cfg = cfg or SolveConfig()
-    con = problem.constraint
-    # dp applies the channels L or g reads; dp_con pulls back g's partials
-    dp = assemble(problem, grid)
-    dp_con = assemble(dataclasses.replace(problem, lagrangian=con.g), grid)
-    L = problem.lagrangian
-    w = grid.quad_weights
-    mask = _free_mask(problem, grid)
-    Y = _start(problem, grid, y0)
-
-    def state(c):
-        """J, constraint gap and the residuals of J and C at the channels c."""
-        J = dp.functional_value(L, c)
-        gap = dp.functional_value(con.g, c) - con.ell
-        return J, gap, dp._residual_from(c), dp_con._residual_from(c)
-
-    def merit(gap, r_J, r_C, lam):
-        """Squared residual of the optimality conditions."""
-        g = (w * (r_J + lam * r_C))[mask]
-        return float(g @ g + gap * gap)
-
-    def stop_at(norm, gap, r_C, steps):
-        """Why the solve ends at a point of augmented residual norm norm
-        reached in steps steps, or None where it goes on."""
-        if weighted_norm(grid, r_C * mask) <= _ABNORMAL_TOL:
-            return "degenerate_constraint"
-        if norm <= cfg.grad_tol and abs(gap) <= _GAP_TOL:
-            return "converged"
-        return "max_iters" if steps >= cfg.max_iters else None
-
-    def curvatures(c, lam, gap, r_J, r_C, steps):
-        """The curvatures of L and g at c, or None where the solve ends."""
-        if stop_at(weighted_norm(grid, (r_J + lam * r_C) * mask), gap, r_C, steps):
-            return None
-        return dp.curvature(c), dp_con.curvature(c)
-
-    c = dp.channels(Y)
-    lam = 0.0
-    J, gap, r_J, r_C = state(c)
-    if not np.isfinite(J + gap) or not np.all(np.isfinite(r_J + lam * r_C)):
-        raise ArithmeticError("non-finite functional value or gradient at iteration 0")
-    curvs = curvatures(c, lam, gap, r_J, r_C, 0)
-    history = []
-    iters = linear_iters = 0
-    while True:
-        norm = weighted_norm(grid, (r_J + lam * r_C) * mask)
-        history.append((J, norm))
-        stop = stop_at(norm, gap, r_C, iters)
-        if stop:
-            break
-        curv_J, curv_C = curvs
-        curv = dict(curv_J)
-        for key, s in curv_C.items():
-            curv[key] = curv[key] + lam * s if key in curv else lam * s
-        gC = w * r_C * mask
-        x, n_x = _pcg(dp, curv, mask, -w * r_J * mask)
-        z, n_z = _pcg(dp, curv, mask, gC)
-        linear_iters += n_x + n_z
-        cz = float(np.vdot(gC, z))
-        if not abs(cz) > _ABNORMAL_TOL * np.linalg.norm(gC) * np.linalg.norm(z):
-            stop = "degenerate_constraint"
-            break
-        lam_new = (float(np.vdot(gC, x)) + gap) / cz
-        D = x - lam_new * z
-        dc = dp.channels(D)
-        m0 = merit(gap, r_J, r_C, lam)
-
-        def trial(t):
-            lam_t = lam + t * (lam_new - lam)
-            c_t = _shifted(c, dc, t)
-            J_t, gap_t, r_J_t, r_C_t = state(c_t)
-            m_t = merit(gap_t, r_J_t, r_C_t, lam_t)
-            if not (np.isfinite(m_t) and m_t <= (1.0 - 2.0 * _ARMIJO_C * t) * m0):
-                return None
-            # the next Newton step needs finite values and the curvatures,
-            # which a point that ends the solve does not evaluate
-            if not (np.isfinite(J_t + gap_t) and np.all(np.isfinite(r_J_t + lam_t * r_C_t))):
-                return None
-            return (c_t, lam_t, J_t, gap_t, r_J_t, r_C_t,
-                    curvatures(c_t, lam_t, gap_t, r_J_t, r_C_t, iters + 1))
-
-        t, accepted = _backtrack(trial)
-        if t is None:
-            stop = "line_search_stalled"
-            break
-        Y = Y + t * D
-        c, lam, J, gap, r_J, r_C, curvs = accepted
-        iters += 1
-
-    abnormal = stop == "degenerate_constraint"
-    if abnormal:
+    report = _newton(problem, grid, cfg, y0)
+    if report.stop_reason == "degenerate_constraint":
         warnings.warn(
             f"constraint gradient vanishes or the bordered Newton matrix is "
-            f"singular at iteration {iters}; the candidate may be an extremal "
+            f"singular at iteration {report.iters}; the candidate may be an extremal "
             "of the constraint functional (abnormal multiplier case), not solving",
             RuntimeWarning,
             stacklevel=2,
         )
-    return SolveReport(
-        y=_pack_y(grid, Y),
-        J=J,
-        residual_norm=norm,
-        lam=None if abnormal else lam,
-        constraint_gap=gap,
-        iters=iters,
-        converged=stop == "converged",
-        history=np.array(history),
-        stop_reason=stop,
-        linear_iters=linear_iters,
-    )
+    return report

@@ -580,6 +580,24 @@ def test_compare_cli_reports_key_set_changes_on_their_own_lines():
     assert compare_cli.report("case", a, a, *compare_cli.compare(a, a)) == ["same  case exit 0"]
 
 
+def test_compare_cli_scales_csv_numbers_by_their_column():
+    # round-off beside a larger entry of the same column reads as small;
+    # a real change still reads as large
+    path = Path(__file__).resolve().parent.parent / "tools" / "compare_cli.py"
+    spec = importlib.util.spec_from_file_location("compare_cli", path)
+    compare_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_cli)
+
+    def run(*column):
+        return {"exit": "0", "nodes.csv": [["r"], *[[repr(x)] for x in column]]}
+
+    diffs, removed, added = compare_cli.compare(run(1.0, 4e-12), run(1.0, -4e-12))
+    assert 0.0 < diffs["nodes.csv"] <= 1e-11
+    assert (removed, added) == ([], [])
+    diffs, _, _ = compare_cli.compare(run(1.0, 2.0), run(1.0, 3.0))
+    assert diffs["nodes.csv"] == pytest.approx(1.0 / 3.0)
+
+
 def test_sweep_domain_error_is_a_row_per_order(tmp_path):
     # L is undefined at the start point (v = 0 there), so every order fails
     # on its own row and, with no converged row, the sweep exits 4

@@ -1,5 +1,6 @@
 """Newton driver, its exact Hessian, and the isoperimetric KKT solve."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -447,6 +448,35 @@ def test_preconditioner_transforms_the_inverse_kernel_once_per_level(monkeypatch
     assert kernel_sizes == [2 * s - 1 for s in levels(g.n_nodes)]
 
 
+def test_preconditioners_of_one_operator_share_its_inverse_transforms(monkeypatch):
+    # node 0 free at N = 4096: the first preconditioner transforms the
+    # inverse kernel once per level and keeps the transforms with the
+    # operator, so later preconditioners of the problem transform nothing;
+    # every output has the bits of solves that transform the kernel afresh
+    p = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian="(v - 1)^2")
+    g = Grid(0.0, 1.0, 4096)
+    dp = assemble(p, g)
+    curv = dp.curvature(dp.channels(np.sqrt(g.nodes)[None, :]))
+    R = np.random.default_rng(72).standard_normal((3, 1, g.n_nodes))
+    with monkeypatch.context() as m:
+        m.setattr(fracvar.problems, "_lower_toeplitz",
+                  lambda t, x, spectra=None: operators._lower_toeplitz(t, x))
+        want = [dp.preconditioner(curv)(r) for r in R]
+    counts = []
+    rfft = np.fft.rfft
+
+    def counting(a, *args, **kwargs):
+        if np.ndim(a) == 1:
+            counts[-1] += 1
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    for r, z in zip(R, want):
+        counts.append(0)
+        assert np.array_equal(dp.preconditioner(curv)(r), z)
+    assert counts == [len(levels(g.n_nodes)), 0, 0] == [6, 0, 0]
+
+
 def test_minimize_two_unknowns_two_orders():
     p = two_unknown_problem()
     g = Grid(0.0, 1.0, 32)
@@ -566,6 +596,23 @@ def test_iso_abnormal_candidate_warns(grid64):
                                      y0=np.zeros(grid64.n_nodes))
     assert not report.converged
     assert report.lam is None
+
+
+def test_iso_line_search_stalls_without_a_warning():
+    # sqrt(v) - v from v ~ 1e-30, where the residual's 1/(2 sqrt(v)) is
+    # about 5e14: the first multiplier step is so large that no trial step
+    # down to 1e-18 lowers the merit, and a stall is not the abnormal case
+    grid = Grid(0.0, 1.0, 32)
+    p = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian="sqrt(v) - v",
+                   constraint=Constraint("v", 1.0), pins=(0.0, None))
+    y0 = 1e-30 * np.sqrt(grid.nodes) / gamma(1.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = solve_isoperimetric(p, grid, SolveConfig(max_iters=100), y0=y0)
+    assert (report.stop_reason, report.iters) == ("line_search_stalled", 0)
+    assert report.lam == 0.0
+    assert not report.converged
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_iso_requires_constraint(grid64):

@@ -13,10 +13,12 @@ Per case it compares the exit code, stdout (output directory masked),
 stderr (the file:line of warnings masked), summary.json without its
 "timings" entry, and every CSV written.  It prints one line per case, the
 largest relative difference of any number that differs, and exits 1 if
-any case differs at all.  A key that only one side has (an output file,
-or a key of summary.json at any depth) is printed on a line of its own,
-"removed PATH" or "added PATH", and the rest is compared on the keys both
-sides share.  Standard library only.
+any case differs at all.  A CSV number counts relative to the largest
+finite magnitude in its column on either side, a summary.json number
+relative to the larger of the two.  A key that only one side has (an
+output file, or a key of summary.json at any depth) is printed on a line
+of its own, "removed PATH" or "added PATH", and the rest is compared on
+the keys both sides share.  Standard library only.
 """
 
 from __future__ import annotations
@@ -147,11 +149,14 @@ def run(src: str, hash_seed: str, problem: Path, argv: list[str], out: Path) -> 
     return result
 
 
-def _rel(x: float, y: float) -> float:
+def _rel(x: float, y: float, scale: float | None = None) -> float:
+    """|x - y| relative to scale, by default the larger of |x| and |y|;
+    inf where they differ and either is not finite."""
     if x == y or (math.isnan(x) and math.isnan(y)):
         return 0.0
-    scale = max(abs(x), abs(y))
-    return math.inf if not math.isfinite(scale) else abs(x - y) / scale
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / (max(abs(x), abs(y)) if scale is None else scale)
 
 
 def _float(tok) -> float | None:
@@ -185,6 +190,28 @@ def diff(x, y) -> float:
     if fx is None or fy is None:
         return math.inf
     return _rel(fx, fy)
+
+
+def table_diff(x: list, y: list) -> float:
+    """diff for two CSV tables (lists of rows), where a number counts
+    relative to the largest finite magnitude in its column on either side:
+    round-off in an entry near zero reads as small as it is beside the
+    column's larger entries."""
+    if [len(row) for row in x] != [len(row) for row in y]:
+        return math.inf
+    scale = {}
+    for row in x + y:
+        for j, tok in enumerate(row):
+            f = _float(tok)
+            if f is not None and math.isfinite(f):
+                scale[j] = max(scale.get(j, 0.0), abs(f))
+    worst = 0.0
+    for a, b in zip(x, y):
+        for j, (s, t) in enumerate(zip(a, b)):
+            fs, ft = _float(s), _float(t)
+            d = diff(s, t) if fs is None or ft is None else _rel(fs, ft, scale.get(j))
+            worst = max(worst, d)
+    return worst
 
 
 def key_changes(x, y, path: str = "") -> tuple[list[str], list[str]]:
@@ -232,7 +259,8 @@ def compare(a: dict, b: dict) -> tuple[dict[str, float], list[str], list[str]]:
                 diffs["summary_hash"] = math.inf
         if key.endswith(".csv") and x[:1] != y[:1]:
             diffs[key + " header"] = math.inf
-        d = diff(x, y) if key != "exit" or x == y else math.inf
+        measure = table_diff if key.endswith(".csv") else diff
+        d = measure(x, y) if key != "exit" or x == y else math.inf
         if d or x != y:
             diffs[key] = d
     return diffs, removed, added
