@@ -362,7 +362,8 @@ def _field_trajectory(L, field: ExactField, y0, alpha, grid: Grid):
     a_val = alpha.value if hasattr(alpha, "value") else float(alpha)
     p = VarProblem(grid.a, grid.b, alphas=(a_val,), betas=(a_val,), lagrangian=L)
     dp = assemble(p, grid)
-    u, v = dp.channels(_normalize_samples(p, grid, y0), every=True)
+    c = dp.channels(_normalize_samples(p, grid, y0), every=True)
+    u, v = c
     x = grid.nodes
     w = grid.quad_weights
     sl = grid.interior()
@@ -372,7 +373,7 @@ def _field_trajectory(L, field: ExactField, y0, alpha, grid: Grid):
     residual_norm = float(np.sqrt(np.sum(w[sl] * e * e)))
     field_tol = 10.0 * grid.h ** min(a_val, 1.0 - a_val)
 
-    J = dp.functional_value(L, [u, v])
+    J = dp.functional_value(L, c)
     s_end = float(evaluate(field.s_fn, {"x": grid.b, "y": float(u[-1])}))
     s_start = float(evaluate(field.s_fn, {"x": grid.a, "y": float(u[0])}))
     field_value = s_end - s_start

@@ -44,7 +44,6 @@ from .problems import (
     Residual,
     VarProblem,
     assemble,
-    augmented_lagrangian,
 )
 from .solve import SolveConfig, minimize, solve_isoperimetric
 from .solve import _start as _solver_start
@@ -279,7 +278,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _nodes_table(
-    out_dir: Path, dp: DiscreteProblem, Y: np.ndarray, c: list, residual: np.ndarray | None
+    out_dir: Path, dp: DiscreteProblem, Y: np.ndarray, c: np.ndarray, residual: np.ndarray | None
 ) -> None:
     """nodes.csv: x, the unknowns, their channels c (every one) and the residual rows."""
     if dp.problem.is_basic():
@@ -288,7 +287,7 @@ def _nodes_table(
         unknowns = range(1, dp.problem.n_unknowns + 1)
         header = ["x", *(f"y{k}" for k in unknowns), *dp.names]
         rs = [f"r{k}" for k in unknowns]
-    columns = [dp.grid.nodes] + list(Y) + c
+    columns = [dp.grid.nodes] + list(Y) + list(c)
     if residual is not None:
         header += rs
         columns += list(np.atleast_2d(residual))
@@ -336,15 +335,15 @@ def _run_solve(cfg: dict, out_dir: Path):
     solver = minimize if cfg["task"] == "solve" else solve_isoperimetric
     report = solver(problem, grid, SolveConfig(**cfg["solver"]), y0=y0)
     Y = _report_samples(report)
-    # stationarity of the multiplier-augmented problem is the meaningful
-    # residual; an abnormal solve-iso (lam None) has none to report
-    if report.lam is not None:
-        problem = augmented_lagrangian(problem, report.lam)
     dp = assemble(problem, grid)
     c = dp.channels(Y, every=True)
+    # stationarity of L + lam g is the meaningful residual; an abnormal
+    # solve-iso (lam None) has none to report
     residual = None
-    if cfg["task"] == "solve" or report.lam is not None:
+    if cfg["task"] == "solve":
         residual = dp._residual_from(c)
+    elif report.lam is not None:
+        residual = dp._residual_from(c) + report.lam * dp._residual_from(c, constraint=True)
     _nodes_table(out_dir, dp, Y, c, residual)
     _write_csv(out_dir / "history.csv", ["iter", "J", "grad_norm"],
                ((i, J, g) for i, (J, g) in enumerate(report.history)))

@@ -15,15 +15,13 @@ When there is exactly one u (or v) channel, the bare name "u" (or "v") is
 an alias of "u1" (or "v1"); the two spellings name the same channel and may
 be mixed.  Every Lagrangian may also use "x".
 
-DiscreteProblem keeps the channels as one list in this order, the u
-channels and then the v channels.  The two kinds differ only in their
-operator and in the node-0 continuation of the v channels (below).
-
-A channel is live when the Lagrangian or the constraint reads it (through
-its indexed name or its alias).  DiscreteProblem builds the operators of
-live channels only and applies only those in the functional, residual,
-Hessian and solver paths; the other channels are None there, and so is
-the partial of L with respect to any channel L does not read.
+DiscreteProblem binds a problem to a grid.  The channels of samples Y are
+one (C, n) array, the u channels and then the v channels, which differ
+only in their operator and in the node-0 continuation of the v channels
+(below).  A channel is live when the Lagrangian L or the constraint g
+reads it; only live channels are built and applied, and the other rows
+stay zero.  The constraint lives in the same problem: g's partials and
+residual come from the same channels and operators as L's.
 
 Endpoint policy: the derivative channel's value at the first node is the
 raw scheme value h^-beta * y_0, which is meaningless when y(a) != 0 (the
@@ -34,22 +32,21 @@ every v channel.  The substitution is linear, so the discrete gradient
 identity below remains exact; it perturbs only the first two entries of
 the adjoint weights and leaves interior residual values untouched.
 
-The discrete gradient of the functional with respect to node values equals
-omega_i * r_i exactly, where r is the Euler-Lagrange residual computed with
-the adjoint-built right operators W^-1 A^T W.
+The residual of L (or of g) is one pullback of its channel partials
+p_a: r = sum_a R_a fold(p_a), with R_a the adjoint-built right operator
+W^-1 A_a^T W and fold the adjoint of the node-0 continuation.  The
+discrete gradient of the functional is omega_i * r_i exactly.  The
+channel maps are linear and L acts pointwise, so the Hessian is exact as
+well, and applying it is the same pullback:
 
-The residual is one pullback of the channel partials p_a = dL/d(channel a):
-r = sum_a R_a fold(p_a), with fold the adjoint of the node-0 continuation
-(DiscreteProblem.pullback, the only place it is applied).  The channel
-maps are linear and L acts pointwise, so the Hessian of the discrete
-functional is exact as well, and applying it is the same pullback:
+    H d = w * pullback(q),   q_a = sum_b s_ab * (A_b d)
 
-    H d = w * pullback(q),   q_a = sum_b d2L/da db * (A_b d)
-
-over the channel maps A_a (DiscreteProblem.hessian_product).  It is never
-formed: a curved channel pair costs about two operator applies, O(N log^2 N).
-DiscreteProblem.preconditioner inverts each unknown's strongest diagonal
-block exactly, through the operators' inverse Toeplitz kernels.
+with s the (P, n) curvature array, whose row p holds the second partial
+of L + lam g by the channel pair pairs[p] (DiscreteProblem.curvature and
+.hessian_product).  H is never formed: a curved pair costs about two
+operator applies, O(N log^2 N).  DiscreteProblem.preconditioner inverts
+each unknown's strongest diagonal block exactly, through the operators'
+inverse Toeplitz kernels.
 """
 
 from __future__ import annotations
@@ -246,22 +243,18 @@ class Residual:
 
 
 class DiscreteProblem:
-    """A problem bound to a grid, with operators and partials precomputed.
+    """A problem bound to a grid: its operators and the partials of L and g.
 
-    Exposes the channel maps (linear), the functional, the residual, the
-    exact gradient, the exact Hessian product and its preconditioner; the
-    solver drives everything through this object.  names, live and
-    partials hold one entry per channel, in the order of the module
-    docstring: the u channels, then the v channels.  live[a] tells
-    whether L or the constraint reads channel a; partials[a] is dL/da, or
-    None where L does not read a.  A map is (left operator, its
-    quadrature adjoint, unknown index, whether node 0 continues node 1);
-    the operators of live channels are taken here, one pair per order,
-    and the others only when maps is read, from the grid's memo
-    (_operator_pair), which builds a pair the grid does not keep.
-    Channel lists (from channels; into env, functional_value and
-    curvature) follow the channel order, with None for channels that
-    are not live.
+    Exposes the channels, the functional, the residuals of L and g, the
+    exact gradient, and the exact Hessian product of L + lam g with its
+    preconditioner; the solver drives everything through this object.
+    names, live and partials hold one entry per channel, in channel order:
+    live[a] tells whether L or g reads channel a, and partials[a] is
+    dL/da, or None where L does not read a.  Channel arrays (from
+    channels; into env, functional_value and curvature) are (C, n) in
+    that order, and curvature arrays (P, n), row p for the pair pairs[p].
+    The operators of live channels are taken here, one pair per order;
+    g's partials and all second partials are derived on first use.
     """
 
     def __init__(self, problem: VarProblem, grid: Grid):
@@ -279,28 +272,29 @@ class DiscreteProblem:
         # spellings differentiates by the indexed names alone
         self._aliases = tuple(a for a in "uv" if a in problem.allowed_vars())
         L = _rename(problem.lagrangian, {"u": "u1", "v": "v1"})
-        read = free_vars(L)
-        live = set(read)
+        live = free_vars(L)
+        self._g = None
         if problem.constraint is not None:
-            live |= free_vars(_rename(problem.constraint.g, {"u": "u1", "v": "v1"}))
+            self._g = _rename(problem.constraint.g, {"u": "u1", "v": "v1"})
+            live |= free_vars(self._g)
         self.live = tuple(name in live for name in self.names)
-        partials = (differentiate(L, name) if name in read else None for name in self.names)
-        self.partials = tuple(None if e == Num(0.0) else e for e in partials)
+        self._live_rows = tuple(a for a, is_live in enumerate(self.live) if is_live)
+        self.partials = _first_partials(L, self.names)
         # integral channels carry the complementary order 1 - alpha; the
         # derivative channels are continued at node 0.  Channel a is order
         # a // K of this list applied to unknown a % K.
         self._orders = [(build_left_rlfi, 1.0 - a.value, False) for a in problem.alphas]
         self._orders += [(build_left_rlfd, b.value, True) for b in problem.betas]
         self._operators = {}
-        for a, is_live in enumerate(self.live):
-            if is_live:
-                self._map(a)
+        for a in self._live_rows:
+            self._map(a)
 
-    # -- channel maps ------------------------------------------------------
+    # -- channels ----------------------------------------------------------
 
     def _map(self, a: int) -> tuple[FracOperator, FracOperator, int, bool]:
-        """Channel a's map; its order's operator and adjoint are taken on
-        first use from the grid (_operator_pair) and shared by the
+        """Channel a's (left operator, its quadrature adjoint, unknown
+        index, whether node 0 continues node 1); its order's operators are
+        taken on first use from the grid (_operator_pair) and shared by the
         channels of that order."""
         i, k = divmod(a, self.problem.n_unknowns)
         if i not in self._operators:
@@ -309,37 +303,30 @@ class DiscreteProblem:
         op, adjoint, continued = self._operators[i]
         return op, adjoint, k, continued
 
-    @property
-    def maps(self) -> tuple[tuple[FracOperator, FracOperator, int, bool], ...]:
-        """One map per channel; reading it builds every channel's operators."""
-        return tuple(self._map(a) for a in range(len(self.names)))
+    def channels(self, Y: np.ndarray, every: bool = False) -> np.ndarray:
+        """The (C, n) channels of Y: integral, then (endpoint-continued)
+        derivative.  Rows of channels that are not live stay zero, unless
+        every is set."""
+        return self._channels(Y, range(len(self.names)) if every else self._live_rows)
 
-    def channels(self, Y: np.ndarray, every: bool = False) -> list[np.ndarray | None]:
-        """The channels of Y: integral, then (endpoint-continued) derivative.
+    def _channels(self, Y: np.ndarray, rows) -> np.ndarray:
+        c = np.zeros((len(self.names), self.grid.n_nodes))
+        for a in rows:
+            op, _, k, continued = self._map(a)
+            c[a] = op.apply(Y[k])
+            if continued:
+                c[a, 0] = c[a, 1]
+        return c
 
-        Channels that are not live are None, unless every is set.
-        """
-        return [self._channel(Y, a) if every or is_live else None
-                for a, is_live in enumerate(self.live)]
-
-    def _channel(self, Y: np.ndarray, a: int) -> np.ndarray:
-        op, _, k, continued = self._map(a)
-        vals = op.apply(Y[k])
-        if continued:
-            vals[0] = vals[1]
-        return vals
-
-    def env(self, c: list[np.ndarray | None]) -> dict:
-        e = {"x": self.grid.nodes}
-        e.update((name, v) for name, v in zip(self.names, c) if v is not None)
+    def env(self, c: np.ndarray) -> dict:
+        e = {"x": self.grid.nodes, **dict(zip(self.names, c))}
         for alias in self._aliases:
-            if alias + "1" in e:
-                e[alias] = e[alias + "1"]
+            e[alias] = e[alias + "1"]
         return e
 
     # -- functional, residual, gradient ------------------------------------
 
-    def functional_value(self, expr: Expr, c: list[np.ndarray]) -> float:
+    def functional_value(self, expr: Expr, c: np.ndarray) -> float:
         vals = _evaluate_array(expr, self.env(c), self.grid.n_nodes)
         return float(self.grid.quad_weights @ vals)
 
@@ -349,35 +336,34 @@ class DiscreteProblem:
     def residual_values(self, Y: np.ndarray) -> np.ndarray:
         return self._residual_from(self.channels(Y))
 
-    def _residual_from(self, c: list[np.ndarray]) -> np.ndarray:
-        return self.pullback(self.first_partials(c))
-
-    def first_partials(self, c: list[np.ndarray | None]) -> list[np.ndarray | None]:
-        """Node samples of dL/d(channel), one per channel; None where the
-        partial is dropped (see partials)."""
+    def _residual_from(self, c: np.ndarray, constraint: bool = False) -> np.ndarray:
+        """The residual of L (of g if constraint is set) at the channels c:
+        the pullback of its first partials."""
+        partials = self._constraint_partials if constraint else self.partials
         env = self.env(c)
-        n = self.grid.n_nodes
-        return [None if e is None else _evaluate_array(e, env, n) for e in self.partials]
+        p = np.zeros_like(c)
+        rows = [a for a, e in enumerate(partials) if e is not None]
+        for a in rows:
+            p[a] = _evaluate_array(partials[a], env, self.grid.n_nodes)
+        return self._pullback(p, rows)
 
-    def pullback(self, p: list[np.ndarray | None]) -> np.ndarray:
-        """sum_a adjoint_a(p_a) into the row of channel a's unknown.
+    @cached_property
+    def _constraint_partials(self) -> tuple[Expr | None, ...]:
+        return _first_partials(self._g, self.names)
 
-        p holds one sample vector (or None, for zero) per channel.  This is
-        the one place that applies the adjoint of the node-0 continuation:
-        under the quadrature inner product, node 0's weighted value moves
-        onto node 1.
-        """
+    def _pullback(self, p: np.ndarray, rows) -> np.ndarray:
+        """sum_a adjoint_a(p[a]) over the channels a in rows, into the row
+        of channel a's unknown.  The one place that applies the adjoint of
+        the node-0 continuation, in place on p: under the quadrature inner
+        product, node 0's weighted value moves onto node 1."""
         w = self.grid.quad_weights
         g = np.zeros((self.problem.n_unknowns, self.grid.n_nodes))
-        for a, pa in enumerate(p):
-            if pa is None:
-                continue
+        for a in rows:
             _, adjoint, k, continued = self._map(a)
             if continued:
-                pa = pa.copy()
-                pa[1] += pa[0] * w[0] / w[1]
-                pa[0] = 0.0
-            g[k] += adjoint.apply(pa)
+                p[a, 1] += p[a, 0] * w[0] / w[1]
+                p[a, 0] = 0.0
+            g[k] += adjoint.apply(p[a])
         return g
 
     def residual(self, Y: np.ndarray) -> Residual:
@@ -392,47 +378,52 @@ class DiscreteProblem:
     # -- Hessian -----------------------------------------------------------
 
     @cached_property
-    def _second_partials(self) -> tuple[tuple[int, int, Expr], ...]:
-        # (a, b, d2L/da db) for channels a <= b; pairs with a dropped first
-        # partial and identically zero partials are dropped
-        out = []
-        for a, first in enumerate(self.partials):
-            for b in range(a, len(self.names)):
-                if first is None or self.partials[b] is None:
-                    continue
-                e = differentiate(first, self.names[b])
-                if e != Num(0.0):
-                    out.append((a, b, e))
-        return tuple(out)
+    def _second_partials(self) -> tuple[tuple[tuple[int, int], Expr | None, Expr | None], ...]:
+        """((a, b), d2L/da db, d2g/da db) per curved channel pair, a <= b:
+        the pairs L curves, then those only g curves; None where a second
+        partial is identically zero."""
+        L = _curved_pairs(self.partials, self.names)
+        g = {} if self._g is None else _curved_pairs(self._constraint_partials, self.names)
+        return tuple((pair, L.get(pair), g.get(pair)) for pair in {**L, **g})
 
-    def curvature(self, c: list[np.ndarray | None]) -> dict[tuple[int, int], np.ndarray]:
-        """Node samples of the nonzero second partials of L.
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The channel pairs of the curvature rows."""
+        return tuple(pair for pair, _, _ in self._second_partials)
 
-        Keyed by channel pair (a, b), a <= b.  Samples add linearly, so the
-        curvature of L + lam*g is the sum of the two dictionaries.
-        """
+    def curvature(self, c: np.ndarray, lam: float = 0.0) -> np.ndarray:
+        """The (P, n) second partials of L + lam g at the channels c; row
+        p is the partial by the channel pair pairs[p]."""
         env = self.env(c)
         n = self.grid.n_nodes
-        return {(a, b): _evaluate_array(e, env, n) for a, b, e in self._second_partials}
+        s = np.empty((len(self.pairs), n))
+        for p, (_, eL, eg) in enumerate(self._second_partials):
+            if eg is None:
+                s[p] = _evaluate_array(eL, env, n)
+            elif eL is None:
+                s[p] = lam * _evaluate_array(eg, env, n)
+            else:
+                s[p] = _evaluate_array(eL, env, n) + lam * _evaluate_array(eg, env, n)
+        return s
 
-    def hessian_product(self, curvature: dict, D: np.ndarray) -> np.ndarray:
+    def hessian_product(self, s: np.ndarray, D: np.ndarray) -> np.ndarray:
         """H D, the exact Hessian of the functional times node values D.
 
-        H D = w * pullback(q) with q_a = sum_b s_ab (A_b D), over the
-        channel pairs (a, b) in curvature; D and the result have one row
-        per unknown.  Only channels that appear in curvature are applied,
-        so a curved pair costs about two applies.
+        H D = w * pullback(q) with q_a = sum_b s_ab (A_b D) over the curved
+        pairs, s the curvature rows; D and the result have one row per
+        unknown.  Only the channels of curved pairs are applied, so a
+        curved pair costs about two applies.
         """
-        dc = {}
-        q = [None] * len(self.names)
-        for (a, b), s in curvature.items():
-            for i, j in ((a, b),) if a == b else ((a, b), (b, a)):
-                if j not in dc:
-                    dc[j] = self._channel(D, j)
-                q[i] = s * dc[j] if q[i] is None else q[i] + s * dc[j]
-        return self.grid.quad_weights * self.pullback(q)
+        rows = sorted({a for pair in self.pairs for a in pair})
+        dc = self._channels(D, rows)
+        q = np.zeros_like(dc)
+        for s_ab, (a, b) in zip(s, self.pairs):
+            q[a] += s_ab * dc[b]
+            if a != b:
+                q[b] += s_ab * dc[a]
+        return self.grid.quad_weights * self._pullback(q, rows)
 
-    def preconditioner(self, curvature: dict) -> Callable[[np.ndarray], np.ndarray]:
+    def preconditioner(self, s: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """An SPD approximate inverse of H, on arrays with one row per unknown.
 
         Per unknown, the exact inverse of its strongest curved diagonal
@@ -445,14 +436,15 @@ class DiscreteProblem:
         output gives the principal submatrix for a pinned node N.
         """
         w = self.grid.quad_weights
+        K = self.problem.n_unknowns
         blocks = []
         for k, (left, _) in enumerate(self.problem.pins):
-            diag = [a for a, b in curvature if a == b and self._map(a)[2] == k]
+            diag = [(a, p) for p, (a, b) in enumerate(self.pairs) if a == b and a % K == k]
             if not diag:
                 continue
-            a = max(diag, key=lambda a: _strength(self._map(a)[0]))
+            a, p = max(diag, key=lambda ap: _strength(self._map(ap[0])[0]))
             op, _, _, continued = self._map(a)
-            ws = w * curvature[a, a]
+            ws = w * s[p]
             if continued:
                 ws[1] += ws[0]
             lo = 0 if left is None else 1
@@ -475,6 +467,22 @@ class DiscreteProblem:
             return Z
 
         return apply
+
+
+def _first_partials(e: Expr, names: tuple[str, ...]) -> tuple[Expr | None, ...]:
+    """de/d(channel), one per channel; None where e does not read the
+    channel or the partial is identically zero."""
+    read = free_vars(e)
+    partials = (differentiate(e, name) if name in read else None for name in names)
+    return tuple(None if p == Num(0.0) else p for p in partials)
+
+
+def _curved_pairs(partials: tuple[Expr | None, ...], names: tuple[str, ...]) -> dict:
+    """(a, b) -> d2e/da db for channels a <= b whose first partials are
+    kept, leaving out second partials that are identically zero."""
+    kept = [a for a, e in enumerate(partials) if e is not None]
+    second = ((a, b, differentiate(partials[a], names[b])) for a in kept for b in kept if a <= b)
+    return {(a, b): e for a, b, e in second if e != Num(0.0)}
 
 
 # preconditioner weights are floored at this fraction of the largest
@@ -511,21 +519,21 @@ def assemble(problem: VarProblem, grid: Grid) -> DiscreteProblem:
 def _normalize_samples(
     problem: VarProblem, grid: Grid, y
 ) -> np.ndarray:
-    """Coerce y (SampledFn, array, or sequence of those) to (K, n_nodes)."""
+    """Coerce y (SampledFn, array, or sequence of those) to (K, n_nodes);
+    every SampledFn must live on grid."""
     K = problem.n_unknowns
     n1 = grid.n_cells + 1
-    if isinstance(y, SampledFn):
-        if y.grid != grid:
-            raise ValueError("sample grid does not match the evaluation grid")
-        items = [y.values]
-    elif isinstance(y, np.ndarray) and y.ndim == 1:
-        items = [y]
-    elif isinstance(y, np.ndarray) and y.ndim == 2:
-        items = list(y)
-    else:
-        items = [it.values if isinstance(it, SampledFn) else np.asarray(it) for it in y]
-        if items and all(it.ndim == 0 for it in items):
-            items = [np.asarray(items, dtype=float)]  # flat list of numbers
+    if isinstance(y, SampledFn) or (isinstance(y, np.ndarray) and y.ndim == 1):
+        y = [y]
+    items = []
+    for it in y:
+        if isinstance(it, SampledFn):
+            if it.grid != grid:
+                raise ValueError("sample grid does not match the evaluation grid")
+            it = it.values
+        items.append(np.asarray(it))
+    if items and all(it.ndim == 0 for it in items):
+        items = [np.asarray(items, dtype=float)]  # flat list of numbers
     Y = np.array([np.asarray(it, dtype=float) for it in items])
     if Y.shape != (K, n1):
         raise ValueError(

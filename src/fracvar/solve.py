@@ -11,10 +11,13 @@ the J history is nonincreasing.  It rejects a trial point where the next
 step cannot be formed (outside L's domain, or with a non-finite gradient),
 and it evaluates the curvature only where the solve goes on.
 
-A constraint int g dx = ell (solve_isoperimetric) adds a multiplier lam,
+One DiscreteProblem carries L and the constraint: the channels of an
+iterate serve both, and a trial point is c + t dc in channel space.  A
+constraint int g dx = ell (solve_isoperimetric) adds a multiplier lam,
 starting at 0, and five things to the loop: the gap C - ell and the
-residual of C; the curvature of L + lam g as H; a second PCG solve, so
-that each step solves the bordered system
+residual of C, pulled back from g's partials; the curvature of L + lam g
+as H, one array evaluated once per step; a second PCG solve, so that each
+step solves the bordered system
 
     [H_L + lam H_g   grad C] [  d    ]   [ -grad J   ]
     [grad C^T          0   ] [lam_new] = [-(C - ell)]
@@ -30,7 +33,6 @@ not solved.
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -146,10 +148,10 @@ def _free_mask(problem: VarProblem, grid: Grid) -> np.ndarray:
     return mask
 
 
-def _pcg(dp, curvature: dict, mask: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+def _pcg(dp, s: np.ndarray, mask: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     """Truncated preconditioned CG for H d = b on the free entries (mask).
 
-    H is dp's Hessian at the given curvature, applied matrix-free, and P
+    H is dp's Hessian at the curvature rows s, applied matrix-free, and P
     its preconditioner.  Returns d and the number of Hessian products.
     Stops once the residual r = b - H d has fallen by _CG_RTOL in the norm
     of the solvers' convergence test, sqrt(sum r^2 / w), after as many
@@ -158,7 +160,7 @@ def _pcg(dp, curvature: dict, mask: np.ndarray, b: np.ndarray) -> tuple[np.ndarr
     itself at the first iteration.  Every earlier direction had positive
     curvature, so b^T d > 0 for every nonzero d returned.
     """
-    precond = dp.preconditioner(curvature)
+    precond = dp.preconditioner(s)
     w = dp.grid.quad_weights
     stop = _CG_RTOL**2 * float(np.vdot(b, b / w))
     d = np.zeros_like(b)
@@ -172,7 +174,7 @@ def _pcg(dp, curvature: dict, mask: np.ndarray, b: np.ndarray) -> tuple[np.ndarr
         rz_new = float(np.vdot(r, z))
         p = z if p is None else z + (rz_new / rz) * p
         rz = rz_new
-        Hp = dp.hessian_product(curvature, p) * mask
+        Hp = dp.hessian_product(s, p) * mask
         curv = float(np.vdot(p, Hp))
         if not curv > 0.0:
             return (p if i == 0 else d), i + 1
@@ -191,10 +193,6 @@ def gradient(problem: VarProblem, y, grid: Grid) -> np.ndarray:
     dp = assemble(problem, grid)
     g = dp.gradient(_normalize_samples(problem, grid, y))
     return g[0] if problem.n_unknowns == 1 else g
-
-
-def _shifted(base, step, t):
-    return [None if a is None else a + t * b for a, b in zip(base, step)]
 
 
 def _backtrack(trial):
@@ -223,10 +221,7 @@ def _newton(problem: VarProblem, grid: Grid, cfg: SolveConfig | None, y0) -> Sol
     """
     cfg = cfg or SolveConfig()
     con = problem.constraint
-    # dp applies the channels L or g reads; dp_con pulls back g's partials
     dp = assemble(problem, grid)
-    if con is not None:
-        dp_con = assemble(dataclasses.replace(problem, lagrangian=con.g), grid)
     L = problem.lagrangian
     w = grid.quad_weights
     mask = _free_mask(problem, grid)
@@ -237,7 +232,7 @@ def _newton(problem: VarProblem, grid: Grid, cfg: SolveConfig | None, y0) -> Sol
         r_J = dp._residual_from(c)
         if con is None:
             return 0.0, r_J, None, r_J
-        r_C = dp_con._residual_from(c)
+        r_C = dp._residual_from(c, constraint=True)
         return dp.functional_value(con.g, c) - con.ell, r_J, r_C, r_J + lam * r_C
 
     def merit(r, gap):
@@ -259,11 +254,7 @@ def _newton(problem: VarProblem, grid: Grid, cfg: SolveConfig | None, y0) -> Sol
         """The curvature of L + lam g at c, or None where the solve ends."""
         if stop_at(weighted_norm(grid, r * mask), gap, r_C, steps):
             return None
-        curv = dp.curvature(c)
-        if con is not None:
-            for key, s in dp_con.curvature(c).items():
-                curv[key] = curv[key] + lam * s if key in curv else lam * s
-        return curv
+        return dp.curvature(c, lam)
 
     Y = _start(problem, grid, y0)
     c = dp.channels(Y)
@@ -303,7 +294,7 @@ def _newton(problem: VarProblem, grid: Grid, cfg: SolveConfig | None, y0) -> Sol
         dc = dp.channels(D)
 
         def trial(t):
-            c_t = _shifted(c, dc, t)
+            c_t = c + t * dc
             J_t = dp.functional_value(L, c_t)
             if not np.isfinite(J_t) or (con is None and not J_t <= J + _ARMIJO_C * t * slope):
                 return None

@@ -598,6 +598,40 @@ def test_compare_cli_scales_csv_numbers_by_their_column():
     assert diffs["nodes.csv"] == pytest.approx(1.0 / 3.0)
 
 
+def test_compare_cli_scales_solver_outputs_by_the_solve():
+    # in a run that wrote history.csv, a residual counts relative to at
+    # least the solve's grad_tol and J relative to at least the largest J
+    # of the history; round-off reads as small, a real change as large
+    path = Path(__file__).resolve().parent.parent / "tools" / "compare_cli.py"
+    spec = importlib.util.spec_from_file_location("compare_cli", path)
+    compare_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_cli)
+
+    def run(residuals, J, grad_tol, history=True):
+        out = {"exit": "0",
+               "summary.json": {"J": J, "config": {"solver": {"grad_tol": grad_tol}}},
+               "nodes.csv": [["x", "residual"], *[["0.5", repr(r)] for r in residuals]]}
+        if history:
+            out["history.csv"] = [["iter", "J", "grad_norm"], ["0", "1.0", "0.5"],
+                                  ["1", repr(J), "1e-9"]]
+        return out
+
+    # a converged residual that moved by round-off
+    diffs, _, _ = compare_cli.compare(run([4.8e-14, -1e-14], 0.5, 1e-6),
+                                      run([4.57e-14, -1e-14], 0.5, 1e-6))
+    assert 0.0 < diffs["nodes.csv"] <= 1e-8 and "summary.json" not in diffs
+    # J of 1e-28 against 6e-29 beside a history J of 1
+    diffs, _, _ = compare_cli.compare(run([0.0], 1e-28, 1e-8), run([0.0], 6e-29, 1e-8))
+    assert 0.0 < diffs["summary.json"] <= 1e-27
+    # a residual far above grad_tol that doubled
+    diffs, _, _ = compare_cli.compare(run([1e-3], 0.5, 1e-8), run([2e-3], 0.5, 1e-8))
+    assert diffs["nodes.csv"] >= 0.1
+    # without a history the per-column and per-number rules stay
+    diffs, _, _ = compare_cli.compare(run([4.8e-14], 1e-28, 1e-6, history=False),
+                                      run([4.57e-14], 6e-29, 1e-6, history=False))
+    assert diffs["nodes.csv"] >= 0.01 and diffs["summary.json"] >= 0.1
+
+
 def test_sweep_domain_error_is_a_row_per_order(tmp_path):
     # L is undefined at the start point (v = 0 there), so every order fails
     # on its own row and, with no converged row, the sweep exits 4

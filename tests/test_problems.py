@@ -10,6 +10,7 @@ from fracvar import (
     FracOperator,
     Grid,
     OperatorKind,
+    SampledFn,
     VarProblem,
     assemble,
     augmented_lagrangian,
@@ -19,6 +20,8 @@ from fracvar import (
     el_residual_general,
     evaluate_functional,
     gamma,
+    gradient,
+    minimize,
     solve_isoperimetric,
 )
 from fracvar.expressions import parse
@@ -112,6 +115,28 @@ def test_functional_accepts_sequences(grid64):
     y_list = list(np.linspace(0.0, 1.0, grid64.n_nodes))
     y_arr = np.linspace(0.0, 1.0, grid64.n_nodes)
     assert evaluate_functional(p, y_list, grid64) == evaluate_functional(p, y_arr, grid64)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_sampled_fn_on_another_grid_is_rejected_in_a_sequence(k):
+    # a tuple of SampledFn (a multi-unknown SolveReport.y is one) checks
+    # each item's grid, as a lone SampledFn does: here the last row lives
+    # on [0, 2]
+    g = Grid(0.0, 1.0, 64)
+    foreign = SampledFn(Grid(0.0, 2.0, 64), g.nodes)
+    y = (SampledFn(g, g.nodes),) * (k - 1) + (foreign,)
+    lagrangian = "v^2" if k == 1 else "v1^2 + v2^2"
+    p = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian=lagrangian, n_unknowns=k)
+    pinned = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian=lagrangian,
+                        n_unknowns=k, pins=((0.0, None),) * k)
+    calls = [lambda: evaluate_functional(p, y, g), lambda: el_residual_general(p, y, g),
+             lambda: gradient(p, y, g), lambda: minimize(pinned, g, y0=y)]
+    for call in calls:
+        with pytest.raises(ValueError, match="sample grid does not match"):
+            call()
+    # the same tuple on the evaluation grid is accepted
+    y = (SampledFn(g, g.nodes),) * k
+    assert evaluate_functional(p, y, g) == evaluate_functional(p, np.array([g.nodes] * k), g)
 
 
 # ---------------------------------------------------------------- residuals

@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fracvar import (
+    Constraint,
     Grid,
     VarProblem,
     assemble,
+    augmented_lagrangian,
     build_left_rlfd,
     build_left_rlfi,
     build_right_adjoint,
@@ -169,6 +171,34 @@ def test_hessian_product_matches_gradient_differences(n, alpha, beta, c):
     eps = 1e-5
     fd = (gradient(p, y + eps * d, g) - gradient(p, y - eps * d, g)) / (2.0 * eps)
     assert np.max(np.abs(hd - fd)) <= 1e-6 * (1.0 + np.max(np.abs(fd)))
+
+
+# (L, g): a pair curved by L alone, one curved by g alone, one by both
+CONSTRAINED = [("v^2 + u*v", "v^2"), ("v^2", "u*v"), ("v^2 + u*v", "v^2 + u^2*v")]
+
+
+@PROPERTY
+@given(cells, alphas, orders, st.floats(min_value=-3.0, max_value=3.0),
+       st.sampled_from(CONSTRAINED), st.lists(coefficients, min_size=8, max_size=8))
+def test_constrained_derivatives_are_those_of_the_augmented_lagrangian(
+        n, alpha, beta, lam, lg, c):
+    # one problem carries L and g: its curvature at lam and r_L + lam r_g
+    # are the Hessian and residual of the problem whose L is L + lam g
+    g = Grid(0.0, 1.0, n)
+    L, con = lg
+    p = VarProblem(0.0, 1.0, alphas=alpha, betas=beta, lagrangian=L,
+                   constraint=Constraint(con, 0.3))
+    y = smooth_samples(g.nodes, c[:4])[None, :]
+    d = smooth_samples(g.nodes, c[4:])[None, :]
+    dp = assemble(p, g)
+    aug = assemble(augmented_lagrangian(p, lam), g)
+    ch = dp.channels(y)
+    hd = dp.hessian_product(dp.curvature(ch, lam), d)
+    want = aug.hessian_product(aug.curvature(aug.channels(y)), d)
+    assert np.max(np.abs(hd - want)) <= 1e-12 * np.max(np.abs(want))
+    r = dp._residual_from(ch) + lam * dp._residual_from(ch, constraint=True)
+    want = aug.residual_values(y)
+    assert np.max(np.abs(r - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # parser-shaped trees: the parser reads literals without a sign, so every

@@ -15,7 +15,12 @@ stderr (the file:line of warnings masked), summary.json without its
 largest relative difference of any number that differs, and exits 1 if
 any case differs at all.  A CSV number counts relative to the largest
 finite magnitude in its column on either side, a summary.json number
-relative to the larger of the two.  A key that only one side has (an
+relative to the larger of the two.  A solver run (one that wrote
+history.csv) drives its residual to round-off, so there the nodes.csv
+residual columns ("residual", "r1", ...) and summary.json "residual_norm"
+count relative to at least the run's config.solver.grad_tol, and
+summary.json "J" relative to at least the largest |J| in history.csv.
+A key that only one side has (an
 output file, or a key of summary.json at any depth) is printed on a line
 of its own, "removed PATH" or "added PATH", and the rest is compared on
 the keys both sides share.  Standard library only.
@@ -103,8 +108,12 @@ VARIANTS = {
         "solve_iso_lambda2",
         {"orders": TWO_ORDERS, "lagrangian": "v1^2 + v2^2 + u1*u2",
          "constraint": {"g": "v1", "ell": 1.0}}, []),
+    # the (u, v) pair is curved by g alone, and u is live only through g
+    "solve-iso-curved-constraint": (
+        "solve_iso_lambda2", {"constraint": {"g": "u*v", "ell": 0.3}, "candidate": "x"}, []),
 }
 
+_RESIDUAL_COLUMN = re.compile(r"residual|r\d+")
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 _WARNING_AT = re.compile(r"^\S+\.py:\d+:", re.MULTILINE)
 
@@ -168,9 +177,10 @@ def _float(tok) -> float | None:
         return None
 
 
-def diff(x, y) -> float:
+def diff(x, y, floor: float = 0.0) -> float:
     """0 if x == y; else the largest relative difference of numbers that
-    differ where everything else agrees; inf if anything else differs."""
+    differ where everything else agrees; inf if anything else differs.
+    Two numbers count relative to at least floor."""
     if x == y:
         return 0.0
     if isinstance(x, dict) and isinstance(y, dict):
@@ -189,17 +199,19 @@ def diff(x, y) -> float:
     fx, fy = _float(x), _float(y)
     if fx is None or fy is None:
         return math.inf
-    return _rel(fx, fy)
+    return _rel(fx, fy, max(abs(fx), abs(fy), floor))
 
 
-def table_diff(x: list, y: list) -> float:
+def table_diff(x: list, y: list, floor: float = 0.0) -> float:
     """diff for two CSV tables (lists of rows), where a number counts
     relative to the largest finite magnitude in its column on either side:
     round-off in an entry near zero reads as small as it is beside the
-    column's larger entries."""
+    column's larger entries.  Residual columns count relative to at least
+    floor."""
     if [len(row) for row in x] != [len(row) for row in y]:
         return math.inf
-    scale = {}
+    scale = {j: floor for j, name in enumerate(x[0] if x else [])
+             if floor and _RESIDUAL_COLUMN.fullmatch(name)}
     for row in x + y:
         for j, tok in enumerate(row):
             f = _float(tok)
@@ -242,11 +254,28 @@ def shared(x, y):
     return x
 
 
+def solver_scales(*runs: dict) -> tuple[float, float]:
+    """(the largest config.solver.grad_tol, the largest finite |J| in
+    history.csv) over the runs that wrote a history; zeros without one."""
+    tol = big_J = 0.0
+    for run in runs:
+        if "history.csv" not in run:
+            continue
+        solver = run.get("summary.json", {}).get("config", {}).get("solver", {})
+        tol = max(tol, _float(solver.get("grad_tol")) or 0.0)
+        for row in run["history.csv"][1:]:
+            J = _float(row[1]) if len(row) > 1 else None
+            if J is not None and math.isfinite(J):
+                big_J = max(big_J, abs(J))
+    return tol, big_J
+
+
 def compare(a: dict, b: dict) -> tuple[dict[str, float], list[str], list[str]]:
     """What differs between two runs of one case: the differing entries
     with their size, compared on the keys both runs have, and the removed
     and added key paths."""
     removed, added = key_changes(a, b)
+    tol, big_J = solver_scales(a, b)
     diffs = {}
     for key in sorted(set(a) & set(b)):
         x, y = shared(a[key], b[key]), shared(b[key], a[key])
@@ -259,8 +288,13 @@ def compare(a: dict, b: dict) -> tuple[dict[str, float], list[str], list[str]]:
                 diffs["summary_hash"] = math.inf
         if key.endswith(".csv") and x[:1] != y[:1]:
             diffs[key + " header"] = math.inf
-        measure = table_diff if key.endswith(".csv") else diff
-        d = measure(x, y) if key != "exit" or x == y else math.inf
+        if key.endswith(".csv"):
+            d = table_diff(x, y, tol if key == "nodes.csv" else 0.0)
+        elif key == "summary.json":
+            floors = {"J": big_J, "residual_norm": tol}
+            d = max([diff(x[k], y[k], floors.get(k, 0.0)) for k in x], default=0.0)
+        else:
+            d = diff(x, y) if key != "exit" or x == y else math.inf
         if d or x != y:
             diffs[key] = d
     return diffs, removed, added
