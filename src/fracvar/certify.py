@@ -28,6 +28,7 @@ from .expressions import (
     _evaluate_array,
 )
 from .grids import Grid, SampledFn
+from .problems import VarProblem, assemble, _normalize_samples
 
 __all__ = [
     "Counterexample",
@@ -133,9 +134,10 @@ def check_convexity(L, box, samples_per_axis: int = 9) -> ConvexityReport:
         L(x, u+du, v+dv) - L(x, u, v) >= dL/du * du + dL/dv * dv
     for every sampled base point and every sampled increment that stays in
     the box, and cross-checks the sampled (u, v) Hessian for positive
-    semidefiniteness.  Convex means both passed at every conclusive point;
-    points where the expression is undefined are recorded as inconclusive,
-    not as violations.  L may use only x, u and v (ValueError otherwise).
+    semidefiniteness.  Convex means both passed at every conclusive point
+    and some gradient-inequality sample was conclusive; points where the
+    expression is undefined are recorded as inconclusive, not as
+    violations.  L may use only x, u and v (ValueError otherwise).
     """
     L = _lagrangian(L)
     box = _check_box(box, 3, "box")
@@ -149,6 +151,7 @@ def check_convexity(L, box, samples_per_axis: int = 9) -> ConvexityReport:
     inconclusive: list = []
     xuv = ("x", "u", "v")
     worst = (0.0, None)  # (gap, Counterexample)
+    conclusive = False
     for x in xs:
         env = {"x": np.full_like(U, x), "u": U, "v": V}
         L0 = _sample_grid(L, env, U.shape, inconclusive, xuv)
@@ -163,6 +166,7 @@ def check_convexity(L, box, samples_per_axis: int = 9) -> ConvexityReport:
         )
         if np.all(np.isnan(gap)):
             continue
+        conclusive = True
         idx = np.unravel_index(np.nanargmin(gap), gap.shape)
         g = gap[idx]
         if g < worst[0]:
@@ -183,7 +187,7 @@ def check_convexity(L, box, samples_per_axis: int = 9) -> ConvexityReport:
     hessian_ok, hess_point = _hessian_psd(L, xs, us, vs, inconclusive)
     if counter is None and not hessian_ok:
         counter = _hessian_counterexample(L, hess_point, box)
-    convex = counter is None and hessian_ok
+    convex = conclusive and counter is None and hessian_ok
     return ConvexityReport(
         convex=convex,
         counterexample=None if convex else counter,
@@ -356,8 +360,6 @@ def verify_field_minimizer(
 def _field_trajectory(L, field: ExactField, y0, alpha, grid: Grid):
     """verify_field_minimizer's report with the node samples it rests on:
     (report, I^{1-alpha} y0, D^alpha y0, phi(x, I^{1-alpha} y0))."""
-    from .problems import VarProblem, assemble, _normalize_samples
-
     L = _lagrangian(L)
     a_val = alpha.value if hasattr(alpha, "value") else float(alpha)
     p = VarProblem(grid.a, grid.b, alphas=(a_val,), betas=(a_val,), lagrangian=L)

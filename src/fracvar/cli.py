@@ -542,25 +542,16 @@ def resolve(doc: dict, n_cells_override: int | None = None) -> dict:
 # summary plumbing
 
 
-def _json_default(obj):
-    """numpy integers and bools for json; numpy floats are floats already."""
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def _write_summary(out_dir: Path, cfg: dict, raw: bytes, result: dict, t0: float) -> None:
     """summary.json: the task, its config, the input's hash and the result;
     summary_hash covers everything but the "timings" entry."""
     timings = {"total_s": round(time.perf_counter() - t0, 6)}
     payload = {"task": cfg["task"], "config": cfg,
                "input_sha256": hashlib.sha256(raw).hexdigest(), **result}
-    text = json.dumps(payload, sort_keys=True, default=_json_default)
+    text = json.dumps(payload, sort_keys=True)
     payload.update(summary_hash=hashlib.sha256(text.encode()).hexdigest(), timings=timings)
     with open(out_dir / "summary.json", "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
+        json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 

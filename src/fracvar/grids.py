@@ -61,8 +61,8 @@ class Grid:
         return w
 
     @cached_property
-    def _operator_pairs(self) -> dict:
-        # operator pairs made on this grid, kept by problems._operator_pair
+    def _problems(self) -> dict:
+        # problems assembled on this grid, kept by problems.assemble
         return {}
 
     def interior(self, margin: int | None = None) -> slice:

@@ -56,12 +56,12 @@ preconditioner applies it through the same matvec.
 The dense table (FracOperator.coeffs) is gathered from the kernel on
 first access and then cached.  No library code reads it; tests do.
 
-Sharing.  DiscreteProblem (problems.py) takes each left operator and its
-adjoint from a memo on the Grid, keyed by builder and order, which keeps
-the last 8 pairs made and evicts the oldest.  Every problem on one grid
-object, and every evaluation of one, so reuses the operators with their
-triangle block, level transforms and inverse_kernel, and every
-preconditioner the transforms of inverse_kernel.
+Sharing.  DiscreteProblem (problems.py) builds each left operator it
+needs and its adjoint once, and the Grid keeps the last 8 problems
+assembled on it (problems.assemble).  Every evaluation of one problem on
+one grid object so reuses the operators with their triangle block, level
+transforms and inverse_kernel, and every preconditioner the transforms of
+inverse_kernel.
 
 Operators are immutable; applying one is a pure function.  Endpoint rows
 of derivative-kind operators are reported but unreliable, and the first
@@ -147,9 +147,8 @@ class FracOperator:
     inverse_kernel for the preconditioner; an adjoint shares its left
     operator's dict.  The dense table coeffs is built only when first
     read (by tests; the library never reads it), then cached.  Construct
-    operators through the build_* functions; DiscreteProblem takes them
-    from a memo on the grid that keeps the last 8 (operator, adjoint)
-    pairs.
+    operators through the build_* functions; a DiscreteProblem builds
+    the (operator, adjoint) pairs it needs once, and its grid keeps it.
     """
 
     kind: OperatorKind

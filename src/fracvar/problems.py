@@ -39,14 +39,17 @@ discrete gradient of the functional is omega_i * r_i exactly.  The
 channel maps are linear and L acts pointwise, so the Hessian is exact as
 well, and applying it is the same pullback:
 
-    H d = w * pullback(q),   q_a = sum_b s_ab * (A_b d)
+    H d = w * pullback(q),   q_a = sum_b S_ab * (A_b d)
 
-with s the (P, n) curvature array, whose row p holds the second partial
-of L + lam g by the channel pair pairs[p] (DiscreteProblem.curvature and
-.hessian_product).  H is never formed: a curved pair costs about two
-operator applies, O(N log^2 N).  DiscreteProblem.preconditioner inverts
-each unknown's strongest diagonal block exactly, through the operators'
-inverse Toeplitz kernels.
+with S the (C, C, n) curvature stack, S_ab = S_ba the second partial of
+L + lam g by channels a and b, zero where nothing curves the pair
+(DiscreteProblem.curvature and .hessian_product).  H is never formed:
+each channel of a curved pair costs two operator applies, O(N log^2 N).
+DiscreteProblem.preconditioner inverts each unknown's strongest diagonal
+block S_aa exactly, through the operators' inverse Toeplitz kernels.
+
+assemble returns the DiscreteProblem its grid keeps for an equal problem,
+so each problem on one grid object is built, and L differentiated, once.
 """
 
 from __future__ import annotations
@@ -252,9 +255,11 @@ class DiscreteProblem:
     live[a] tells whether L or g reads channel a, and partials[a] is
     dL/da, or None where L does not read a.  Channel arrays (from
     channels; into env, functional_value and curvature) are (C, n) in
-    that order, and curvature arrays (P, n), row p for the pair pairs[p].
-    The operators of live channels are taken here, one pair per order;
-    g's partials and all second partials are derived on first use.
+    that order, and the curvature (C, C, n), S[a, b] for channels a, b.
+    The operators of live channels are built here, one pair per order,
+    and the others on first use; g's partials and all second partials
+    are derived on first use.  Get one through assemble, which keeps it
+    on the grid.
     """
 
     def __init__(self, problem: VarProblem, grid: Grid):
@@ -294,12 +299,12 @@ class DiscreteProblem:
     def _map(self, a: int) -> tuple[FracOperator, FracOperator, int, bool]:
         """Channel a's (left operator, its quadrature adjoint, unknown
         index, whether node 0 continues node 1); its order's operators are
-        taken on first use from the grid (_operator_pair) and shared by the
-        channels of that order."""
+        built on first use and shared by the channels of that order."""
         i, k = divmod(a, self.problem.n_unknowns)
         if i not in self._operators:
             build, order, continued = self._orders[i]
-            self._operators[i] = (*_operator_pair(self.grid, build, order), continued)
+            op = build(self.grid, order)
+            self._operators[i] = (op, build_right_adjoint(op), continued)
         op, adjoint, continued = self._operators[i]
         return op, adjoint, k, continued
 
@@ -378,52 +383,43 @@ class DiscreteProblem:
     # -- Hessian -----------------------------------------------------------
 
     @cached_property
-    def _second_partials(self) -> tuple[tuple[tuple[int, int], Expr | None, Expr | None], ...]:
-        """((a, b), d2L/da db, d2g/da db) per curved channel pair, a <= b:
-        the pairs L curves, then those only g curves; None where a second
-        partial is identically zero."""
+    def _second_partials(self) -> dict[tuple[int, int], tuple[Expr | None, Expr | None]]:
+        """(a, b) -> (d2L/da db, d2g/da db) per curved channel pair, a <= b;
+        None where a second partial is identically zero."""
         L = _curved_pairs(self.partials, self.names)
         g = {} if self._g is None else _curved_pairs(self._constraint_partials, self.names)
-        return tuple((pair, L.get(pair), g.get(pair)) for pair in {**L, **g})
-
-    @cached_property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """The channel pairs of the curvature rows."""
-        return tuple(pair for pair, _, _ in self._second_partials)
+        return {pair: (L.get(pair), g.get(pair)) for pair in {**L, **g}}
 
     def curvature(self, c: np.ndarray, lam: float = 0.0) -> np.ndarray:
-        """The (P, n) second partials of L + lam g at the channels c; row
-        p is the partial by the channel pair pairs[p]."""
+        """The (C, C, n) second partials of L + lam g at the channels c:
+        S[a, b] = S[b, a] is the partial by channels a and b, zero where
+        nothing curves the pair."""
         env = self.env(c)
         n = self.grid.n_nodes
-        s = np.empty((len(self.pairs), n))
-        for p, (_, eL, eg) in enumerate(self._second_partials):
+        S = np.zeros((len(self.names), len(self.names), n))
+        for (a, b), (eL, eg) in self._second_partials.items():
             if eg is None:
-                s[p] = _evaluate_array(eL, env, n)
+                S[a, b] = _evaluate_array(eL, env, n)
             elif eL is None:
-                s[p] = lam * _evaluate_array(eg, env, n)
+                S[a, b] = lam * _evaluate_array(eg, env, n)
             else:
-                s[p] = _evaluate_array(eL, env, n) + lam * _evaluate_array(eg, env, n)
-        return s
+                S[a, b] = _evaluate_array(eL, env, n) + lam * _evaluate_array(eg, env, n)
+            S[b, a] = S[a, b]
+        return S
 
-    def hessian_product(self, s: np.ndarray, D: np.ndarray) -> np.ndarray:
+    def hessian_product(self, S: np.ndarray, D: np.ndarray) -> np.ndarray:
         """H D, the exact Hessian of the functional times node values D.
 
-        H D = w * pullback(q) with q_a = sum_b s_ab (A_b D) over the curved
-        pairs, s the curvature rows; D and the result have one row per
-        unknown.  Only the channels of curved pairs are applied, so a
-        curved pair costs about two applies.
+        H D = w * pullback(q) with q_a = sum_b S_ab (A_b D), S the
+        curvature stack; D and the result have one row per unknown.  Only
+        the channels of curved pairs are applied, each once forward and
+        once through its adjoint.
         """
-        rows = sorted({a for pair in self.pairs for a in pair})
-        dc = self._channels(D, rows)
-        q = np.zeros_like(dc)
-        for s_ab, (a, b) in zip(s, self.pairs):
-            q[a] += s_ab * dc[b]
-            if a != b:
-                q[b] += s_ab * dc[a]
+        rows = sorted({a for pair in self._second_partials for a in pair})
+        q = np.einsum("abn,bn->an", S, self._channels(D, rows))
         return self.grid.quad_weights * self._pullback(q, rows)
 
-    def preconditioner(self, s: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    def preconditioner(self, S: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """An SPD approximate inverse of H, on arrays with one row per unknown.
 
         Per unknown, the exact inverse of its strongest curved diagonal
@@ -439,12 +435,12 @@ class DiscreteProblem:
         K = self.problem.n_unknowns
         blocks = []
         for k, (left, _) in enumerate(self.problem.pins):
-            diag = [(a, p) for p, (a, b) in enumerate(self.pairs) if a == b and a % K == k]
+            diag = [a for a in range(k, len(self.names), K) if (a, a) in self._second_partials]
             if not diag:
                 continue
-            a, p = max(diag, key=lambda ap: _strength(self._map(ap[0])[0]))
+            a = max(diag, key=lambda b: _strength(self._map(b)[0]))
             op, _, _, continued = self._map(a)
-            ws = w * s[p]
+            ws = w * S[a, a]
             if continued:
                 ws[1] += ws[0]
             lo = 0 if left is None else 1
@@ -487,21 +483,8 @@ def _curved_pairs(partials: tuple[Expr | None, ...], names: tuple[str, ...]) -> 
 
 # preconditioner weights are floored at this fraction of the largest
 _WEIGHT_FLOOR = 1e-12
-# operator pairs a grid keeps, the oldest evicted first
-_GRID_OPERATORS = 8
-
-
-def _operator_pair(grid: Grid, build, order: float) -> tuple[FracOperator, FracOperator]:
-    """build(grid, order) and its adjoint, kept on the grid for the next
-    problem on it: they share the kernel transforms their applies keep and
-    inverse_kernel.  A grid keeps the _GRID_OPERATORS pairs last made."""
-    memo = grid._operator_pairs
-    if (build, order) not in memo:
-        if len(memo) == _GRID_OPERATORS:
-            del memo[next(iter(memo))]
-        op = build(grid, order)
-        memo[build, order] = (op, build_right_adjoint(op))
-    return memo[build, order]
+# problems a grid keeps, the oldest evicted first
+_GRID_PROBLEMS = 8
 
 
 def _strength(op: FracOperator) -> float:
@@ -513,7 +496,16 @@ def _strength(op: FracOperator) -> float:
 
 
 def assemble(problem: VarProblem, grid: Grid) -> DiscreteProblem:
-    return DiscreteProblem(problem, grid)
+    """The DiscreteProblem the grid keeps for a problem equal to problem,
+    made and kept on first use.  A grid keeps the _GRID_PROBLEMS problems
+    last made."""
+    memo = grid._problems
+    dp = memo.get(problem)
+    if dp is None:
+        if len(memo) == _GRID_PROBLEMS:
+            del memo[next(iter(memo))]
+        dp = memo[problem] = DiscreteProblem(problem, grid)
+    return dp
 
 
 def _normalize_samples(

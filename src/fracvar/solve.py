@@ -151,7 +151,7 @@ def _free_mask(problem: VarProblem, grid: Grid) -> np.ndarray:
 def _pcg(dp, s: np.ndarray, mask: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     """Truncated preconditioned CG for H d = b on the free entries (mask).
 
-    H is dp's Hessian at the curvature rows s, applied matrix-free, and P
+    H is dp's Hessian at the curvature stack s, applied matrix-free, and P
     its preconditioner.  Returns d and the number of Hessian products.
     Stops once the residual r = b - H d has fallen by _CG_RTOL in the norm
     of the solvers' convergence test, sqrt(sum r^2 / w), after as many

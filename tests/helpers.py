@@ -1,4 +1,5 @@
-"""Shared test utilities: seeded expression generators, finite differences.
+"""Shared test utilities: seeded expression generators, finite differences,
+dense reference tables and work counters.
 
 Generated trees stay inside the parser's image: numeric literals are
 nonnegative and negation is spelled with an explicit unary node, so a
@@ -7,6 +8,7 @@ print/parse round trip can be compared structurally.
 
 import numpy as np
 
+import fracvar.problems
 from fracvar.expressions import Bin, Call, Expr, Neg, Num, Var
 from fracvar.operators import _TRI
 
@@ -127,3 +129,24 @@ def levels(n: int) -> list[int]:
     """The level sides s of the block-path matvec of n samples:
     _TRI, 2 _TRI, ... below n."""
     return [_TRI << k for k in range(n.bit_length()) if _TRI << k < n]
+
+
+def record_assembly_work(monkeypatch) -> tuple[list, list]:
+    """Lists of the problems a DiscreteProblem is made for and of the
+    channel names the problems module differentiates by, filled as the
+    calls happen."""
+    made, derived = [], []
+    init = fracvar.problems.DiscreteProblem.__init__
+    differentiate = fracvar.problems.differentiate
+
+    def counting_init(dp, problem, grid):
+        made.append(problem)
+        init(dp, problem, grid)
+
+    def counting_differentiate(e, name):
+        derived.append(name)
+        return differentiate(e, name)
+
+    monkeypatch.setattr(fracvar.problems.DiscreteProblem, "__init__", counting_init)
+    monkeypatch.setattr(fracvar.problems, "differentiate", counting_differentiate)
+    return made, derived

@@ -88,6 +88,15 @@ def test_domain_failures_are_inconclusive_not_violations():
     assert len(rep.inconclusive) <= 16
 
 
+def test_no_conclusive_sample_is_not_convex():
+    # -1 - v^2 < 0, so L is undefined at every sample and every gradient
+    # inequality is inconclusive: that certifies nothing
+    rep = check_convexity("log(-1 - v^2)", BOX)
+    assert not rep.convex
+    assert rep.counterexample is None
+    assert len(rep.inconclusive) == 16
+
+
 def test_inconclusive_points_are_distinct():
     # 1/v and its partial in v both fail at v = 0; each point is logged once
     rep = check_convexity("1/v", ((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)))
@@ -193,6 +202,15 @@ def test_verify_field_minimizer_scaled():
     assert rep.trajectory
     assert rep.J == pytest.approx(2.0, abs=4e-2)
     assert abs(rep.gap) <= 4e-2
+
+
+def test_verify_field_minimizer_reuses_the_kept_problem():
+    # each call builds a fresh but equal problem; the grid keeps the first
+    g = Grid(0.0, 1.0, 256)
+    y0 = SampledFn(g, np.sqrt(g.nodes) / gamma(1.5))
+    reports = [verify_field_minimizer("v^2/2", halfx_field(), y0, 0.5, g) for _ in range(3)]
+    assert len(g._problems) == 1
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_verify_field_rejects_non_trajectory():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fracvar.cli import main
+from helpers import record_assembly_work
 
 
 def write_problem(path, doc):
@@ -601,7 +602,8 @@ def test_compare_cli_scales_csv_numbers_by_their_column():
 def test_compare_cli_scales_solver_outputs_by_the_solve():
     # in a run that wrote history.csv, a residual counts relative to at
     # least the solve's grad_tol and J relative to at least the largest J
-    # of the history; round-off reads as small, a real change as large
+    # of the history, in summary.json and where stdout echoes them;
+    # round-off reads as small, a real change as large
     path = Path(__file__).resolve().parent.parent / "tools" / "compare_cli.py"
     spec = importlib.util.spec_from_file_location("compare_cli", path)
     compare_cli = importlib.util.module_from_spec(spec)
@@ -609,6 +611,8 @@ def test_compare_cli_scales_solver_outputs_by_the_solve():
 
     def run(residuals, J, grad_tol, history=True):
         out = {"exit": "0",
+               "stdout": f"fracvar solve: J={J!r}, residual_norm={residuals[0]!r}, "
+                         "lambda=None, converged=True -> <out>/summary.json\n",
                "summary.json": {"J": J, "config": {"solver": {"grad_tol": grad_tol}}},
                "nodes.csv": [["x", "residual"], *[["0.5", repr(r)] for r in residuals]]}
         if history:
@@ -623,6 +627,10 @@ def test_compare_cli_scales_solver_outputs_by_the_solve():
     # J of 1e-28 against 6e-29 beside a history J of 1
     diffs, _, _ = compare_cli.compare(run([0.0], 1e-28, 1e-8), run([0.0], 6e-29, 1e-8))
     assert 0.0 < diffs["summary.json"] <= 1e-27
+    assert 0.0 < diffs["stdout"] <= 1e-27
+    # J of 1 against 2 is a change, in summary.json and in stdout
+    diffs, _, _ = compare_cli.compare(run([0.0], 1.0, 1e-8), run([0.0], 2.0, 1e-8))
+    assert diffs["summary.json"] >= 0.1 and diffs["stdout"] >= 0.1
     # a residual far above grad_tol that doubled
     diffs, _, _ = compare_cli.compare(run([1e-3], 0.5, 1e-8), run([2e-3], 0.5, 1e-8))
     assert diffs["nodes.csv"] >= 0.1
@@ -663,6 +671,17 @@ def test_solve_builds_each_operator_once(tmp_path, monkeypatch):
                "--quiet"])
     assert rc == 0
     assert counts == {"build_left_rlfd": 1, "build_left_rlfi": 1, "build_right_adjoint": 2}
+
+
+@pytest.mark.parametrize("stem, partials", [("solve_quadratic", 2), ("solve_iso_lambda2", 4)])
+def test_solve_assembles_one_problem(stem, partials, tmp_path, monkeypatch):
+    # the solver, nodes.csv and the residual share the problem the grid
+    # keeps: L (and g) are differentiated once, first and second partials
+    made, derived = record_assembly_work(monkeypatch)
+    rc = main(["run", str(FIXTURES / f"{stem}.json"), "--out", str(tmp_path / "out"),
+               "--quiet"])
+    assert rc == 0
+    assert (len(made), len(derived)) == (1, partials)
 
 
 @pytest.mark.parametrize("stem, applies", [

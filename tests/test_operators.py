@@ -12,6 +12,7 @@ from fracvar import (
     FracOrder,
     Grid,
     OperatorKind,
+    SampledFn,
     VarProblem,
     build_left_rlfd,
     build_left_rlfi,
@@ -277,6 +278,19 @@ def test_apply_rejects_bad_shape(grid256):
     op = build_left_rlfi(grid256, 0.5)
     with pytest.raises(ValueError):
         op.apply(np.zeros(grid256.n_nodes - 1))
+
+
+def test_apply_to_sampled_fn_checks_its_grid(grid256):
+    # a SampledFn on the operator's grid comes back as one with the values
+    # of the array path; one on another grid is refused
+    op = build_left_rlfd(grid256, 0.5)
+    f = SampledFn(grid256, np.sqrt(grid256.nodes))
+    out = op.apply(f)
+    assert isinstance(out, SampledFn) and out.grid == grid256
+    assert np.array_equal(out.values, op.apply(f.values))
+    other = Grid(0.0, 2.0, 256)
+    with pytest.raises(ValueError, match="sample grid does not match operator grid"):
+        op.apply(SampledFn(other, np.sqrt(other.nodes)))
 
 
 # ---------------------------------------------------------------- storage

@@ -25,6 +25,7 @@ from fracvar import (
     solve_isoperimetric,
 )
 from fracvar.expressions import parse
+from helpers import record_assembly_work
 
 
 def half_problem(lagrangian, **kw):
@@ -317,22 +318,36 @@ def test_only_live_channels_are_built_and_applied(monkeypatch):
     assert applied == [OperatorKind.LEFT_RLFD]
 
 
-def test_grid_keeps_the_last_eight_operator_pairs():
-    # nine orders of v^2 on one grid: the first pair is evicted, the
-    # last one is reused
+def test_grid_keeps_the_last_eight_problems():
+    # nine orders of v^2 on one grid: eight problems are kept, an equal
+    # problem gets the kept object, and the first one is evicted and rebuilt
     g = Grid(0.0, 1.0, 16)
 
-    def pair(beta):
-        p = VarProblem(0.0, 1.0, alphas=0.5, betas=beta, lagrangian="v^2")
-        return assemble(p, g)._map(1)[:2]
+    def problem(beta):
+        return VarProblem(0.0, 1.0, alphas=0.5, betas=beta, lagrangian="v^2")
 
     betas = [k / 10 for k in range(1, 10)]
-    first = [pair(b) for b in betas]
-    assert len(g._operator_pairs) == 8
-    last = pair(betas[-1])
-    assert last[0] is first[-1][0] and last[1] is first[-1][1]
-    assert pair(betas[0])[0] is not first[0][0]
-    assert len(g._operator_pairs) == 8
+    first = [assemble(problem(b), g) for b in betas]
+    assert len(g._problems) == 8
+    assert assemble(problem(betas[-1]), g) is first[-1]
+    rebuilt = assemble(problem(betas[0]), g)
+    assert rebuilt is not first[0] and rebuilt.problem == first[0].problem
+    assert len(g._problems) == 8
+    # an equal grid is another grid: it keeps its own problems
+    assert assemble(problem(betas[-1]), Grid(0.0, 1.0, 16)) is not first[-1]
+
+
+def test_repeated_evaluations_assemble_and_differentiate_once(monkeypatch):
+    # ten rounds of el_residual and evaluate_functional on one grid, each
+    # with a fresh but equal problem: one assembly, one partial derived
+    made, derived = record_assembly_work(monkeypatch)
+    g = Grid(0.0, 1.0, 4096)
+    y = np.sqrt(g.nodes) / gamma(1.5)
+    for _ in range(10):
+        p = half_problem("(v - 1)^2")
+        assert np.isfinite(el_residual(p, y, g).norm)
+        assert np.isfinite(evaluate_functional(p, y, g))
+    assert (len(made), derived) == (1, ["v1"])
 
 
 def test_partial_of_an_unread_channel_is_dropped(monkeypatch):

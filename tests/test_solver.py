@@ -360,6 +360,30 @@ def test_hessian_matches_gradient_differences():
     assert abs(np.vdot(E, Hd) - np.vdot(D, He)) <= 1e-12 * scale
 
 
+def test_hessian_product_is_the_pair_loop_over_the_curvature_stack():
+    # the stack is symmetric and zero off the curved pairs, and its
+    # contraction equals, bit for bit, the loop over curved pairs
+    p = two_unknown_problem()
+    g = Grid(0.0, 1.0, 32)
+    x = g.nodes
+    dp = assemble(p, g)
+    S = dp.curvature(dp.channels(np.array([np.sin(2.0 * x) + x, 0.5 * np.cos(3.0 * x)])))
+    curved = set(dp._second_partials)
+    assert np.array_equal(S, S.transpose(1, 0, 2))
+    C = len(dp.names)
+    assert all(not S[a, b].any() for a in range(C) for b in range(a, C) if (a, b) not in curved)
+    D = np.random.default_rng(60).standard_normal((2, g.n_nodes))
+    rows = sorted({a for pair in curved for a in pair})
+    dc = dp._channels(D, rows)
+    q = np.zeros_like(dc)
+    for a in rows:
+        for b in rows:
+            if (min(a, b), max(a, b)) in curved:
+                q[a] += S[a, b] * dc[b]
+    want = g.quad_weights * dp._pullback(q, rows)
+    assert dp.hessian_product(S, D).tobytes() == want.tobytes()
+
+
 def test_hessian_builds_only_curved_tables(monkeypatch):
     # (v - 1)^2 has curvature in v alone: H d is 2 D^T W D d on the free
     # nodes, and neither the product nor the solvers build a dense table
@@ -447,6 +471,20 @@ def test_preconditioner_transforms_the_inverse_kernel_once_per_level(monkeypatch
     for r, z in zip(R, want):
         assert np.array_equal(precond(r), z)
     assert kernel_sizes == [2 * s - 1 for s in levels(g.n_nodes)]
+
+
+def test_unknown_without_a_curved_diagonal_keeps_the_identity_preconditioner():
+    # v1^2 curves unknown 1's diagonal; unknown 2 is curved only through
+    # the cross term u1*v2, so its preconditioner row is the identity
+    p = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian="v1^2 + u1*v2",
+                   n_unknowns=2)
+    g = Grid(0.0, 1.0, 32)
+    dp = assemble(p, g)
+    Y = np.array([np.sqrt(g.nodes), g.nodes ** 2])
+    R = np.random.default_rng(73).standard_normal(Y.shape)
+    Z = dp.preconditioner(dp.curvature(dp.channels(Y)))(R)
+    assert Z[1].tobytes() == R[1].tobytes()
+    assert not np.array_equal(Z[0], R[0])
 
 
 def test_preconditioners_of_one_operator_share_its_inverse_transforms(monkeypatch):

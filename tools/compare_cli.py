@@ -19,8 +19,9 @@ relative to the larger of the two.  A solver run (one that wrote
 history.csv) drives its residual to round-off, so there the nodes.csv
 residual columns ("residual", "r1", ...) and summary.json "residual_norm"
 count relative to at least the run's config.solver.grad_tol, and
-summary.json "J" relative to at least the largest |J| in history.csv.
-A key that only one side has (an
+summary.json "J" relative to at least the largest |J| in history.csv;
+stdout echoes summary.json as name=value, and its J= and residual_norm=
+numbers count under the same floors.  A key that only one side has (an
 output file, or a key of summary.json at any depth) is printed on a line
 of its own, "removed PATH" or "added PATH", and the rest is compared on
 the keys both sides share.  Standard library only.
@@ -111,11 +112,18 @@ VARIANTS = {
     # the (u, v) pair is curved by g alone, and u is live only through g
     "solve-iso-curved-constraint": (
         "solve_iso_lambda2", {"constraint": {"g": "u*v", "ell": 0.3}, "candidate": "x"}, []),
+    # L is undefined at every sample, and its second partials are
+    # nonnegative on this box: no conclusive sample, so not convex
+    "certify-convex-undefined": (
+        "certify_convex_mixed",
+        {"lagrangian": "log(-1 - v^2)",
+         "certify": {"box": [[0.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]], "samples_per_axis": 9}}, []),
 }
 
 _RESIDUAL_COLUMN = re.compile(r"residual|r\d+")
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 _WARNING_AT = re.compile(r"^\S+\.py:\d+:", re.MULTILINE)
+_NAMED = re.compile(r"(\w+)=$")
 
 
 def cases(work: Path) -> dict[str, tuple[Path, list[str]]]:
@@ -177,10 +185,20 @@ def _float(tok) -> float | None:
         return None
 
 
-def diff(x, y, floor: float = 0.0) -> float:
+def _named_numbers(s: str) -> list[tuple[str, float]]:
+    """The numbers in s, each with the name it follows as name=, or ""."""
+    out = []
+    for m in _NUMBER.finditer(s):
+        name = _NAMED.search(s, 0, m.start())
+        out.append((name[1] if name else "", float(m[0])))
+    return out
+
+
+def diff(x, y, floor: float = 0.0, floors: dict | None = None) -> float:
     """0 if x == y; else the largest relative difference of numbers that
     differ where everything else agrees; inf if anything else differs.
-    Two numbers count relative to at least floor."""
+    Two numbers count relative to at least floor, or in a string, where
+    they follow name=, to at least floors[name]."""
     if x == y:
         return 0.0
     if isinstance(x, dict) and isinstance(y, dict):
@@ -194,8 +212,9 @@ def diff(x, y, floor: float = 0.0) -> float:
     if isinstance(x, str) and isinstance(y, str):
         if _NUMBER.sub("#", x) != _NUMBER.sub("#", y):
             return math.inf
-        nx, ny = _NUMBER.findall(x), _NUMBER.findall(y)
-        return max(diff(float(a), float(b)) for a, b in zip(nx, ny))
+        floors = floors or {}
+        return max(diff(a, b, floors.get(name, 0.0))
+                   for (name, a), (_, b) in zip(_named_numbers(x), _named_numbers(y)))
     fx, fy = _float(x), _float(y)
     if fx is None or fy is None:
         return math.inf
@@ -276,6 +295,7 @@ def compare(a: dict, b: dict) -> tuple[dict[str, float], list[str], list[str]]:
     and added key paths."""
     removed, added = key_changes(a, b)
     tol, big_J = solver_scales(a, b)
+    floors = {"J": big_J, "residual_norm": tol}
     diffs = {}
     for key in sorted(set(a) & set(b)):
         x, y = shared(a[key], b[key]), shared(b[key], a[key])
@@ -291,8 +311,9 @@ def compare(a: dict, b: dict) -> tuple[dict[str, float], list[str], list[str]]:
         if key.endswith(".csv"):
             d = table_diff(x, y, tol if key == "nodes.csv" else 0.0)
         elif key == "summary.json":
-            floors = {"J": big_J, "residual_norm": tol}
             d = max([diff(x[k], y[k], floors.get(k, 0.0)) for k in x], default=0.0)
+        elif key == "stdout":
+            d = diff(x, y, floors=floors)
         else:
             d = diff(x, y) if key != "exit" or x == y else math.inf
         if d or x != y:
