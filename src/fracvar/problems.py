@@ -65,6 +65,7 @@ from .expressions import (
     Bin,
     Expr,
     Num,
+    Var,
     differentiate,
     free_vars,
     parse,
@@ -383,28 +384,25 @@ class DiscreteProblem:
     # -- Hessian -----------------------------------------------------------
 
     @cached_property
-    def _second_partials(self) -> dict[tuple[int, int], tuple[Expr | None, Expr | None]]:
-        """(a, b) -> (d2L/da db, d2g/da db) per curved channel pair, a <= b;
-        None where a second partial is identically zero."""
-        L = _curved_pairs(self.partials, self.names)
-        g = {} if self._g is None else _curved_pairs(self._constraint_partials, self.names)
-        return {pair: (L.get(pair), g.get(pair)) for pair in {**L, **g}}
+    def _second_partials(self) -> dict[tuple[int, int], Expr]:
+        """(a, b) -> the second partial of L + lam g by channels a <= b, per
+        curved pair, with lam a variable that curvature binds."""
+        out = _curved_pairs(self.partials, self.names)
+        if self._g is not None:
+            for pair, e in _curved_pairs(self._constraint_partials, self.names).items():
+                e = Bin("*", Var("lam"), e)
+                out[pair] = Bin("+", out[pair], e) if pair in out else e
+        return out
 
     def curvature(self, c: np.ndarray, lam: float = 0.0) -> np.ndarray:
         """The (C, C, n) second partials of L + lam g at the channels c:
         S[a, b] = S[b, a] is the partial by channels a and b, zero where
         nothing curves the pair."""
-        env = self.env(c)
+        env = {**self.env(c), "lam": lam}
         n = self.grid.n_nodes
         S = np.zeros((len(self.names), len(self.names), n))
-        for (a, b), (eL, eg) in self._second_partials.items():
-            if eg is None:
-                S[a, b] = _evaluate_array(eL, env, n)
-            elif eL is None:
-                S[a, b] = lam * _evaluate_array(eg, env, n)
-            else:
-                S[a, b] = _evaluate_array(eL, env, n) + lam * _evaluate_array(eg, env, n)
-            S[b, a] = S[a, b]
+        for (a, b), e in self._second_partials.items():
+            S[a, b] = S[b, a] = _evaluate_array(e, env, n)
         return S
 
     def hessian_product(self, S: np.ndarray, D: np.ndarray) -> np.ndarray:

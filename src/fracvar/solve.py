@@ -1,34 +1,33 @@
 """Direct minimization of discretized fractional functionals.
 
 minimize and solve_isoperimetric run one loop, _newton: damped Newton on
-the free node values, whose pinned endpoint values never move.  Each step
-solves H d = -grad J by matrix-free preconditioned CG
-(DiscreteProblem.hessian_product and .preconditioner), truncated at the
-first direction of nonpositive curvature for nonconvex L (Steihaug 1983),
-so every step is a descent direction (_pcg).  Armijo backtracking halves
-the step from the full Newton step (_backtrack), so without a constraint
-the J history is nonincreasing.  It rejects a trial point where the next
-step cannot be formed (outside L's domain, or with a non-finite gradient),
-and it evaluates the curvature only where the solve goes on.
+the free node values, whose pinned endpoint values never move, for one
+Lagrangian L + lam g (lam = 0 without a constraint).  An iterate carries
+its residual r; each step builds one preconditioner and solves
+H x = -w r by matrix-free preconditioned CG (DiscreteProblem.
+hessian_product and .preconditioner), truncated at the first direction of
+nonpositive curvature (Steihaug 1983), so every step descends (_pcg).
+Armijo backtracking halves the step from the full Newton step
+(_backtrack), so without a constraint the J history is nonincreasing.  It
+rejects a trial point where the next step cannot be formed (outside L's
+domain, or with a non-finite residual), evaluates the curvature of
+L + lam g only where the solve goes on, and ends it as no_progress once
+_STALL_STEPS accepted steps have together lowered J (the merit, with a
+constraint) by at most _STALL_RTOL of its value.
 
-One DiscreteProblem carries L and the constraint: the channels of an
-iterate serve both, and a trial point is c + t dc in channel space.  A
-constraint int g dx = ell (solve_isoperimetric) adds a multiplier lam,
-starting at 0, and five things to the loop: the gap C - ell and the
-residual of C, pulled back from g's partials; the curvature of L + lam g
-as H, one array evaluated once per step; a second PCG solve, so that each
-step solves the bordered system
+A constraint int g dx = ell (solve_isoperimetric) adds the gap C - ell,
+the residual of C and a second PCG solve, H z = grad C, so that each
+step solves the bordered (KKT) system in its multiplier-increment form
+(Nocedal & Wright 2006, sec. 18.1)
 
-    [H_L + lam H_g   grad C] [  d    ]   [ -grad J   ]
-    [grad C^T          0   ] [lam_new] = [-(C - ell)]
+    [H         grad C] [ d  ]   [  -w r   ]
+    [grad C^T     0  ] [dlam] = [-(C - ell)]
 
-in range-space form, H x = -grad J and H z = grad C giving
-lam_new = (grad C^T x + C - ell) / (grad C^T z) and d = x - lam_new z;
-the squared residual of the optimality conditions as the line-search
-merit in place of J; and lam and the gap in the report.  A vanishing
-constraint gradient, or grad C^T z ~ 0 (the bordered matrix is singular),
-is the abnormal case: it is reported with lam=None and a RuntimeWarning,
-not solved.
+by dlam = (grad C^T x + C - ell) / (grad C^T z) and d = x - dlam z; CG
+keeps grad C^T z > 0.  Near a solution x is small.  The squared residual
+of the optimality conditions replaces J as the line-search merit.  A
+vanishing constraint gradient is the abnormal case: it is reported with
+lam=None and a RuntimeWarning, not solved.
 """
 
 from __future__ import annotations
@@ -51,9 +50,11 @@ _MIN_STEP = 1e-18
 _ARMIJO_C = 1e-4
 # solve_isoperimetric converges only once |C - ell| is at most this
 _GAP_TOL = 1e-3
-# a constraint gradient at or below this weighted norm is treated as zero,
-# and so is grad C^T z at or below this fraction of |grad C| |z|
+# a constraint gradient at or below this weighted norm is treated as zero
 _ABNORMAL_TOL = 1e-10
+# the no_progress window and the relative fall it must exceed
+_STALL_STEPS = 10
+_STALL_RTOL = 1e-13
 # CG stops once its residual has fallen by this factor, in the norm of the
 # convergence test
 _CG_RTOL = 1e-10
@@ -91,9 +92,10 @@ class SolveReport:
     augmented problem.  history holds one (J, grad_norm) row per visited
     iterate, final point included.  stop_reason is "converged",
     "max_iters", "line_search_stalled" (no step down to 1e-18 was
-    accepted) or "degenerate_constraint" (the abnormal isoperimetric
-    case); linear_iters counts the CG iterations (Hessian products) of the
-    whole solve.
+    accepted), "no_progress" (the last 10 accepted steps together lowered
+    J, or the merit with a constraint, by at most 1e-13 of its value) or
+    "degenerate_constraint" (the abnormal isoperimetric case); linear_iters
+    counts the CG iterations (Hessian products) of the whole solve.
     """
 
     y: SampledFn | tuple[SampledFn, ...]
@@ -148,19 +150,19 @@ def _free_mask(problem: VarProblem, grid: Grid) -> np.ndarray:
     return mask
 
 
-def _pcg(dp, s: np.ndarray, mask: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+def _pcg(dp, s: np.ndarray, precond, mask: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     """Truncated preconditioned CG for H d = b on the free entries (mask).
 
-    H is dp's Hessian at the curvature stack s, applied matrix-free, and P
-    its preconditioner.  Returns d and the number of Hessian products.
-    Stops once the residual r = b - H d has fallen by _CG_RTOL in the norm
-    of the solvers' convergence test, sqrt(sum r^2 / w), after as many
-    products as there are free entries, or at the first direction p with
-    p^T H p <= 0 (Steihaug 1983): d is then the last iterate, or p = P^-1 b
-    itself at the first iteration.  Every earlier direction had positive
-    curvature, so b^T d > 0 for every nonzero d returned.
+    H is dp's Hessian at the curvature stack s, applied matrix-free, and
+    precond applies the step's preconditioner P^-1.  Returns d and the
+    number of Hessian products.  Stops once the residual r = b - H d has
+    fallen by _CG_RTOL in the norm of the solvers' convergence test,
+    sqrt(sum r^2 / w), after as many products as there are free entries,
+    or at the first direction p with p^T H p <= 0 (Steihaug 1983): d is
+    then the last iterate, or p = P^-1 b itself at the first iteration.
+    Every earlier direction had positive curvature, so b^T d > 0 for
+    every nonzero d returned.
     """
-    precond = dp.preconditioner(s)
     w = dp.grid.quad_weights
     stop = _CG_RTOL**2 * float(np.vdot(b, b / w))
     d = np.zeros_like(b)
@@ -217,7 +219,7 @@ def _newton(problem: VarProblem, grid: Grid, cfg: SolveConfig | None, y0) -> Sol
     describes it.
 
     Without a constraint lam stays 0, the gap is 0 and r_C is None, so
-    each iterate is a point of L alone.
+    each iterate is a point of L alone and the line search lowers J.
     """
     cfg = cfg or SolveConfig()
     con = problem.constraint
@@ -225,72 +227,68 @@ def _newton(problem: VarProblem, grid: Grid, cfg: SolveConfig | None, y0) -> Sol
     L = problem.lagrangian
     w = grid.quad_weights
     mask = _free_mask(problem, grid)
+    lowered = []  # what the line search lowers, at each accepted iterate
 
-    def residuals(c, lam):
-        """The constraint gap, the residuals of J and C, and that of
-        L + lam g at the channels c."""
-        r_J = dp._residual_from(c)
-        if con is None:
-            return 0.0, r_J, None, r_J
-        r_C = dp._residual_from(c, constraint=True)
-        return dp.functional_value(con.g, c) - con.ell, r_J, r_C, r_J + lam * r_C
-
-    def merit(r, gap):
-        """Squared residual of the optimality conditions, r the residual of
-        L + lam g."""
-        g = (w * r)[mask]
-        return float(g @ g + gap * gap)
-
-    def stop_at(norm, gap, r_C, steps):
-        """Why the solve ends at a point of residual norm norm (of L + lam g)
-        reached in steps steps, or None where it goes on."""
-        if con is not None and weighted_norm(grid, r_C * mask) <= _ABNORMAL_TOL:
-            return "degenerate_constraint"
-        if norm <= cfg.grad_tol and abs(gap) <= _GAP_TOL:
-            return "converged"
-        return "max_iters" if steps >= cfg.max_iters else None
-
-    def curvature(c, lam, gap, r_C, r, steps):
-        """The curvature of L + lam g at c, or None where the solve ends."""
-        if stop_at(weighted_norm(grid, r * mask), gap, r_C, steps):
+    def point(c, lam, J, steps):
+        """(gap, r, r_C, norm, f, stop) at the channels c, multiplier lam
+        and functional value J, reached in steps steps: r is the residual
+        of L + lam g, f what the line search lowers (J, or with a
+        constraint the merit |w r|^2 + gap^2), and stop why the solve ends
+        there, or None where it goes on.  None where r is not finite."""
+        r = dp._residual_from(c)
+        gap, r_C, f = 0.0, None, J
+        if con is not None:
+            r_C = dp._residual_from(c, constraint=True)
+            gap = dp.functional_value(con.g, c) - con.ell
+            r = r + lam * r_C
+            g = (w * r)[mask]
+            f = float(g @ g + gap * gap)
+        if not np.all(np.isfinite(r)):
             return None
-        return dp.curvature(c, lam)
+        norm = weighted_norm(grid, r * mask)
+        before = lowered[steps - _STALL_STEPS] if steps >= _STALL_STEPS else None
+        if con is not None and weighted_norm(grid, r_C * mask) <= _ABNORMAL_TOL:
+            stop = "degenerate_constraint"
+        elif norm <= cfg.grad_tol and abs(gap) <= _GAP_TOL:
+            stop = "converged"
+        elif before is not None and before - f <= _STALL_RTOL * abs(before):
+            stop = "no_progress"
+        else:
+            stop = "max_iters" if steps >= cfg.max_iters else None
+        return gap, r, r_C, norm, f, stop
 
     Y = _start(problem, grid, y0)
     c = dp.channels(Y)
     lam = 0.0
     J = dp.functional_value(L, c)
-    gap, r_J, r_C, r = residuals(c, lam)
-    if not np.isfinite(J + gap) or not np.all(np.isfinite(r)):
+    state = point(c, lam, J, 0)
+    if state is None or not np.isfinite(J + state[0]):
         raise ArithmeticError("non-finite functional value or gradient at iteration 0")
-    curv = curvature(c, lam, gap, r_C, r, 0)
+    # the curvature is evaluated only where the solve goes on
+    curv = None if state[-1] else dp.curvature(c, lam)
     history = []
     iters = linear_iters = 0
     while True:
-        norm = weighted_norm(grid, r * mask)
+        gap, r, r_C, norm, f, stop = state
         history.append((J, norm))
-        stop = stop_at(norm, gap, r_C, iters)
+        lowered.append(f)
         if stop:
             break
-        g_J = w * r_J * mask
-        D, n_cg = _pcg(dp, curv, mask, -g_J)
+        # one preconditioner per step: H x = -w r, and with a constraint
+        # H z = grad C gives dlam and d = x - dlam z
+        precond = dp.preconditioner(curv)
+        g = w * r * mask
+        D, n_cg = _pcg(dp, curv, precond, mask, -g)
         linear_iters += n_cg
-        lam_new = lam
+        dlam = 0.0
         if con is None:
-            slope = float(np.vdot(g_J, D))
+            slope = float(np.vdot(g, D))
         else:
-            # the range-space step of the bordered system: D is x, z solves
-            # H z = grad C, and lam_new and d = x - lam_new z follow
             gC = w * r_C * mask
-            z, n_cg = _pcg(dp, curv, mask, gC)
+            z, n_cg = _pcg(dp, curv, precond, mask, gC)
             linear_iters += n_cg
-            cz = float(np.vdot(gC, z))
-            if not abs(cz) > _ABNORMAL_TOL * np.linalg.norm(gC) * np.linalg.norm(z):
-                stop = "degenerate_constraint"
-                break
-            lam_new = (float(np.vdot(gC, D)) + gap) / cz
-            D = D - lam_new * z
-            m0 = merit(r, gap)
+            dlam = (float(np.vdot(gC, D)) + gap) / float(np.vdot(gC, z))
+            D = D - dlam * z
         dc = dp.channels(D)
 
         def trial(t):
@@ -298,25 +296,21 @@ def _newton(problem: VarProblem, grid: Grid, cfg: SolveConfig | None, y0) -> Sol
             J_t = dp.functional_value(L, c_t)
             if not np.isfinite(J_t) or (con is None and not J_t <= J + _ARMIJO_C * t * slope):
                 return None
-            lam_t = lam + t * (lam_new - lam)
-            gap_t, r_J_t, r_C_t, r_t = residuals(c_t, lam_t)
-            if con is not None:
-                m_t = merit(r_t, gap_t)
-                if not (np.isfinite(m_t) and m_t <= (1.0 - 2.0 * _ARMIJO_C * t) * m0):
-                    return None
-            # the next Newton step needs a finite residual and the curvature,
-            # which a point that ends the solve does not evaluate
-            if not np.all(np.isfinite(r_t)):
+            lam_t = lam + t * dlam
+            state_t = point(c_t, lam_t, J_t, iters + 1)
+            if state_t is None:
                 return None
-            return (c_t, lam_t, J_t, gap_t, r_J_t, r_C_t, r_t,
-                    curvature(c_t, lam_t, gap_t, r_C_t, r_t, iters + 1))
+            f_t, stop_t = state_t[-2:]
+            if con is not None and not (np.isfinite(f_t) and f_t <= (1.0 - 2.0 * _ARMIJO_C * t) * f):
+                return None
+            return c_t, lam_t, J_t, state_t, None if stop_t else dp.curvature(c_t, lam_t)
 
         t, accepted = _backtrack(trial)
         if t is None:
             stop = "line_search_stalled"
             break
         Y = Y + t * D
-        c, lam, J, gap, r_J, r_C, r, curv = accepted
+        c, lam, J, state, curv = accepted
         iters += 1
     return SolveReport(
         y=_pack_y(grid, Y),
@@ -345,8 +339,8 @@ def minimize(
     An ExprDomainError or a non-finite J or gradient at the starting point
     raises.  The line search accepts only points with a finite gradient
     where the solve either stops or can form the next step, whose
-    curvature it then evaluates; so max_iters or a stalled line search ends
-    the solve unraised.
+    curvature it then evaluates; so max_iters, no progress or a stalled
+    line search ends the solve unraised.
     """
     if problem.constraint is not None:
         raise ValueError("minimize handles unconstrained problems; "
@@ -365,10 +359,10 @@ def solve_isoperimetric(
     Starts from lam = 0 and updates y and lam together.  Converged means
     the augmented residual is at most grad_tol and the constraint gap at
     most 1e-3.  As in minimize, only the starting point can raise.  A
-    numerically zero constraint gradient, or a singular bordered matrix
-    (grad C^T H^-1 grad C ~ 0), at any iterate signals the abnormal case,
-    in which the candidate may be an extremal of the constraint functional
-    itself; it is reported with a RuntimeWarning and lam=None, not solved.
+    numerically zero constraint gradient at any iterate, which makes the
+    bordered matrix singular, signals the abnormal case, in which the
+    candidate may be an extremal of the constraint functional itself; it
+    is reported with a RuntimeWarning and lam=None, not solved.
     """
     if problem.constraint is None:
         raise ValueError("solve_isoperimetric requires a problem with a constraint")

@@ -52,6 +52,15 @@ def test_hessian_search_counterexample():
     assert gradient_inequality_gap(L, ce.x, ce.u, ce.v, ce.du, ce.dv) == ce.violation
 
 
+def test_hessian_search_without_a_finite_gap_keeps_a_zero_increment():
+    # L is defined only on a disc of radius 1e-15 about u = v = 0, where its
+    # Hessian is negative, so every searched increment leaves the domain
+    rep = check_convexity("sqrt(1e-30 - u^2 - v^2)", BOX, 5)
+    assert not rep.convex
+    ce = rep.counterexample
+    assert (ce.u, ce.v, ce.du, ce.dv, ce.violation) == (0.0, 0.0, 0.0, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("L", ["-(v1^2)", "-(w^2)"])
 def test_unknown_name_is_an_error_not_inconclusive(L):
     with pytest.raises(ValueError, match=r"L may use only x, u and v, found \['(v1|w)'\]"):

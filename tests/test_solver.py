@@ -241,6 +241,8 @@ def test_cg_iterations_do_not_grow_with_n(lagrangian, pins, per_step):
     ("quadratic", SolveConfig(), "converged"),
     ("quartic", SolveConfig(max_iters=3, grad_tol=1e-14), "max_iters"),
     ("abnormal", ISO_CFG, "degenerate_constraint"),
+    # below round-off the steps leave J where it is
+    ("quartic", SolveConfig(grad_tol=1e-16), "no_progress"),
 ])
 def test_stop_reason(grid64, case, cfg, reason):
     problems = {
@@ -261,6 +263,44 @@ def test_stop_reason(grid64, case, cfg, reason):
     assert report.converged == (reason == "converged")
     # one CG iteration at least per Newton step
     assert report.iters <= report.linear_iters <= report.iters * grid64.n_cells
+
+
+def test_cg_stops_after_one_product_per_free_node():
+    # pinned at both ends on two cells, one node is free: every CG solve
+    # uses up its one product, and the quartic still takes five steps
+    p = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5,
+                   lagrangian="(v - 1)^2 + v^4", pins=(0.0, 0.0))
+    report = minimize(p, Grid(0.0, 1.0, 2))
+    assert report.converged
+    assert (report.iters, report.linear_iters) == (5, 5)
+
+
+def test_line_search_rejects_a_trial_with_a_non_finite_residual(grid64, monkeypatch):
+    # no input is known whose trial point has a finite J and a residual that
+    # overflows only in the pullback, so the first trial's residual is
+    # replaced by inf: the line search halves, and the solve converges
+    residual = DiscreteProblem._residual_from
+    calls = []
+
+    def overflowing(dp, c, constraint=False):
+        calls.append(constraint)
+        r = residual(dp, c, constraint)
+        return np.full_like(r, np.inf) if len(calls) == 2 else r
+
+    backtrack = solve_module._backtrack
+    steps = []
+
+    def recording(trial):
+        t, accepted = backtrack(trial)
+        steps.append(t)
+        return t, accepted
+
+    monkeypatch.setattr(DiscreteProblem, "_residual_from", overflowing)
+    monkeypatch.setattr(solve_module, "_backtrack", recording)
+    report = minimize(quad_problem(), grid64)
+    assert steps == [0.5, 1.0]
+    assert report.converged
+    assert np.all(np.isfinite(report.history))
 
 
 def test_persample_overflow_surfaces_from_expressions(grid64):
@@ -654,6 +694,50 @@ def test_iso_line_search_stalls_without_a_warning():
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("n, steps", [(32, 5), (48, 4), (64, 4), (1024, 4)])
+def test_iso_bilinear_constraint_converges(n, steps):
+    # g = u v curves only the (u, v) pair, and H_L + lam H_g is indefinite
+    # near the solution; the multiplier-increment step solves for a small
+    # x there, and converges instead of spinning to max_iters at N = 32
+    grid = Grid(0.0, 1.0, n)
+    p = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian="v^2",
+                   constraint=Constraint("u*v", 0.3), pins=(0.0, None))
+    report = solve_isoperimetric(p, grid, y0=grid.nodes)
+    assert report.converged
+    assert report.iters <= steps
+    if n == 1024:
+        assert report.lam == pytest.approx(-2.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_iso_curved_constraint_ends_no_progress(n):
+    # the bordered step does not converge here; once its accepted steps
+    # stop changing anything, the solve says so instead of running on
+    grid = Grid(0.0, 1.0, n)
+    p = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian="v^2 + u*v",
+                   constraint=Constraint("v^2 + u^2*v", 0.3), pins=(0.0, None))
+    report = solve_isoperimetric(p, grid, y0=grid.nodes)
+    assert report.stop_reason == "no_progress"
+    assert not report.converged
+    assert report.lam is not None
+    norms = report.history[-(solve_module._STALL_STEPS + 1):, 1]
+    assert np.ptp(norms) <= 1e-12 * np.max(norms)
+
+
+def test_iso_step_builds_one_preconditioner(grid64, monkeypatch):
+    # the two CG solves of a constrained step share its preconditioner
+    built = []
+    preconditioner = DiscreteProblem.preconditioner
+
+    def counting(dp, S):
+        built.append(S)
+        return preconditioner(dp, S)
+
+    monkeypatch.setattr(DiscreteProblem, "preconditioner", counting)
+    report = solve_isoperimetric(iso_problem(1.0), grid64)
+    assert (report.stop_reason, report.iters, len(built)) == ("converged", 1, 1)
+
+
 def test_iso_requires_constraint(grid64):
     with pytest.raises(ValueError):
         solve_isoperimetric(quad_problem(), grid64)
@@ -666,6 +750,12 @@ def test_config_validation():
     for name in ("step_init", "armijo_c", "armijo_shrink", "multiplier_tol"):
         with pytest.raises(TypeError):
             SolveConfig(**{name: 0.5})
+
+
+@pytest.mark.parametrize("grad_tol", [0.0, -1e-8, math.nan])
+def test_config_rejects_a_nonpositive_grad_tol(grad_tol):
+    with pytest.raises(ValueError, match="grad_tol"):
+        SolveConfig(grad_tol=grad_tol)
 
 
 @pytest.mark.parametrize("mixed, indexed", [

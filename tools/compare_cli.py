@@ -112,6 +112,16 @@ VARIANTS = {
     # the (u, v) pair is curved by g alone, and u is live only through g
     "solve-iso-curved-constraint": (
         "solve_iso_lambda2", {"constraint": {"g": "u*v", "ell": 0.3}, "candidate": "x"}, []),
+    # multi-step constrained solves: g = u*v at N = 32 converges in four
+    # steps, and a constraint that curves (u, v) with L ends no_progress
+    "solve-iso-uv-n32": (
+        "solve_iso_lambda2",
+        {"constraint": {"g": "u*v", "ell": 0.3}, "candidate": "x",
+         "solver": {"max_iters": 5000, "grad_tol": 1e-8}}, ["--n-cells", "32"]),
+    "solve-iso-curved-stall": (
+        "solve_iso_lambda2",
+        {"lagrangian": "v^2 + u*v", "constraint": {"g": "v^2 + u^2*v", "ell": 0.3},
+         "candidate": "x"}, []),
     # L is undefined at every sample, and its second partials are
     # nonnegative on this box: no conclusive sample, so not convex
     "certify-convex-undefined": (
