@@ -27,7 +27,7 @@ from .expressions import (
     _eval,
     _evaluate_array,
 )
-from .grids import Grid, SampledFn
+from .grids import Grid, SampledFn, _weighted_l2
 from .problems import VarProblem, assemble, _normalize_samples
 
 __all__ = [
@@ -184,9 +184,9 @@ def check_convexity(L, box, samples_per_axis: int = 9) -> ConvexityReport:
             )
 
     counter = worst[1] if worst[0] < -_TOL else None
-    hessian_ok, hess_point = _hessian_psd(L, xs, us, vs, inconclusive)
+    hessian_ok, hess_point = _hessian_psd(Lu, Lv, xs, us, vs, inconclusive)
     if counter is None and not hessian_ok:
-        counter = _hessian_counterexample(L, hess_point, box)
+        counter = _hessian_counterexample(L, Lu, Lv, hess_point, box)
     convex = conclusive and counter is None and hessian_ok
     return ConvexityReport(
         convex=convex,
@@ -197,11 +197,11 @@ def check_convexity(L, box, samples_per_axis: int = 9) -> ConvexityReport:
     )
 
 
-def _hessian_psd(L, xs, us, vs, inconclusive):
-    """Sampled PSD test of the (u, v) Hessian; returns (ok, worst point)."""
-    Luu = differentiate(differentiate(L, "u"), "u")
-    Luv = differentiate(differentiate(L, "u"), "v")
-    Lvv = differentiate(differentiate(L, "v"), "v")
+def _hessian_psd(Lu, Lv, xs, us, vs, inconclusive):
+    """Sampled PSD test of the (u, v) Hessian from Lu and Lv; returns (ok, worst point)."""
+    Luu = differentiate(Lu, "u")
+    Luv = differentiate(Lu, "v")
+    Lvv = differentiate(Lv, "v")
     X, U, V = np.meshgrid(xs, us, vs, indexing="ij")
     env = {"x": X, "u": U, "v": V}
     a, b, c = (_sample_grid(d2, env, X.shape, inconclusive, ("x", "u", "v"))
@@ -217,9 +217,9 @@ def _hessian_psd(L, xs, us, vs, inconclusive):
     return False, (float(X[idx]), float(U[idx]), float(V[idx]))
 
 
-def _hessian_counterexample(L, point, box) -> Counterexample:
-    """Search small increments at a Hessian-negative point for a gradient-
-    inequality violation; the recorded gap is whatever the search found.
+def _hessian_counterexample(L, Lu, Lv, point, box) -> Counterexample:
+    """Search small increments at a Hessian-negative point for a violation of
+    L's gradient inequality (partials Lu, Lv); the gap is what it found.
 
     L is evaluated once over the in-box increments (16 angles times 11
     halving scales); the first smallest gap in angle-major order is kept,
@@ -234,8 +234,7 @@ def _hessian_counterexample(L, point, box) -> Counterexample:
     dv = (scale * np.sin(angle)).ravel()
     inside = (ulo <= u + du) & (u + du <= uhi) & (vlo <= v + dv) & (v + dv <= vhi)
     du, dv = du[inside], dv[inside]
-    L0, Lu0, Lv0 = (_marked(e, {"x": x, "u": u, "v": v}, ())[0]
-                    for e in (L, differentiate(L, "u"), differentiate(L, "v")))
+    L0, Lu0, Lv0 = (_marked(e, {"x": x, "u": u, "v": v}, ())[0] for e in (L, Lu, Lv))
     bumped = _marked(L, {"x": x, "u": u + du, "v": v + dv}, du.shape)[0]
     gap = bumped - L0 - Lu0 * du - Lv0 * dv
     gap[np.isnan(gap)] = np.inf
@@ -367,15 +366,13 @@ def _field_trajectory(L, field: ExactField, y0, alpha, grid: Grid):
     c = dp.channels(_normalize_samples(p, grid, y0), every=True)
     u, v = c
     x = grid.nodes
-    w = grid.quad_weights
     sl = grid.interior()
 
     phi_vals = _evaluate_array(field.phi, {"x": x, "y": u}, x.shape)
-    e = (v - phi_vals)[sl]
-    residual_norm = float(np.sqrt(np.sum(w[sl] * e * e)))
+    residual_norm = _weighted_l2(grid.quad_weights[sl], (v - phi_vals)[sl])
     field_tol = 10.0 * grid.h ** min(a_val, 1.0 - a_val)
 
-    J = dp.functional_value(L, c)
+    J = dp.value(c)
     s_end = float(evaluate(field.s_fn, {"x": grid.b, "y": float(u[-1])}))
     s_start = float(evaluate(field.s_fn, {"x": grid.a, "y": float(u[0])}))
     field_value = s_end - s_start

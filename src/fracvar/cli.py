@@ -317,7 +317,7 @@ def _run_candidate(cfg: dict, out_dir: Path):
     Y = _candidate_samples(cfg, problem, grid)
     dp = assemble(problem, grid)
     c = dp.channels(Y, every=True)  # applied once for J, the residual and nodes.csv
-    summary = {"J": dp.functional_value(problem.lagrangian, c)}
+    summary = {"J": dp.value(c)}
     residual = None
     if cfg["task"] == "el-residual":
         residual = dp._residual_from(c)

@@ -18,7 +18,6 @@ identities so printed output stays predictable.
 
 from __future__ import annotations
 
-import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -196,7 +195,10 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, pos = self.advance()
         if kind == "num":
-            return Num(float(text))
+            value = float(text)
+            if value == float("inf"):
+                raise ExprSyntaxError(f"number {text!r} overflows a float", pos)
+            return Num(value)
         if kind == "ident":
             k2, t2, _ = self.peek()
             if k2 == "op" and t2 == "(":
@@ -306,8 +308,7 @@ def _eval(e: Expr, env: Mapping[str, float | np.ndarray], bad: np.ndarray | None
             elif e.op == "*":
                 out = lhs * rhs
             elif e.op == "/":
-                # two floats divided by zero raise even after marking
-                out = lhs / rhs if bad is None else np.divide(lhs, rhs)
+                out = np.divide(lhs, rhs)
             else:
                 out = np.power(lhs, rhs)
     else:
@@ -419,8 +420,6 @@ def simplify(e: Expr) -> Expr:
         elif op == "/":
             if _is_num(rhs, 1.0):
                 return lhs
-            if _is_num(lhs, 0.0) and isinstance(rhs, Num) and rhs.value != 0.0:
-                return Num(0.0)
         elif op == "^":
             if _is_num(rhs, 1.0):
                 return lhs
@@ -438,12 +437,9 @@ def _try_fold(e: Expr) -> Num | None:
     # fold only when the result is finite and in-domain; otherwise leave the
     # node alone so evaluation reports the error at runtime
     try:
-        v = evaluate(e, {})
+        return Num(evaluate(e, {}))
     except ExprError:
         return None
-    if not math.isfinite(v):
-        return None
-    return Num(v)
 
 
 # printing: minimal parentheses that preserve structure on reparse
@@ -469,7 +465,8 @@ def _fits_unary_slot(e: Expr) -> bool:
 
 
 def _fmt_num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    # inf and nan fail the first test and print as "inf" and "nan"
+    if abs(v) < 1e16 and v == int(v):
         return str(int(v))
     return repr(v)
 

@@ -111,7 +111,17 @@ def weighted_norm(grid: Grid, values: np.ndarray) -> float:
     """Quadrature-weighted L2 norm sqrt(sum_i w_i * v_i**2).
 
     Accepts a flat vector of node values or a stacked (k, n_nodes) array,
-    in which case the sum runs over all rows.
+    in which case the sum runs over all rows.  It is finite for finite
+    values short of the float range, inf for an inf and NaN for a NaN.
     """
-    v = np.asarray(values, dtype=float)
-    return float(np.sqrt(np.sum(grid.quad_weights * v * v)))
+    return _weighted_l2(grid.quad_weights, np.asarray(values, dtype=float))
+
+
+def _weighted_l2(w: np.ndarray, v: np.ndarray) -> float:
+    """sqrt(sum w * v**2), w > 0 broadcast against v.  An inf or NaN value
+    gives inf or NaN, and a largest magnitude past 1e150 divides the
+    values first, so that their squares cannot overflow."""
+    top = float(np.abs(v).max(initial=0.0))
+    if not top <= 1e150:
+        return top * _weighted_l2(w, v / top) if top < np.inf else top
+    return float(np.sqrt(np.sum(w * v * v)))

@@ -19,9 +19,10 @@ DiscreteProblem binds a problem to a grid.  The channels of samples Y are
 one (C, n) array, the u channels and then the v channels, which differ
 only in their operator and in the node-0 continuation of the v channels
 (below).  A channel is live when the Lagrangian L or the constraint g
-reads it; only live channels are built and applied, and the other rows
-stay zero.  The constraint lives in the same problem: g's partials and
-residual come from the same channels and operators as L's.
+reads it; only live channels are applied, each order's operators are
+built on its first apply, and the other rows stay zero.  The constraint
+lives in the same problem: g's value, partials and residual come from the
+same channels and operators as L's.
 
 Endpoint policy: the derivative channel's value at the first node is the
 raw scheme value h^-beta * y_0, which is meaningless when y(a) != 0 (the
@@ -73,11 +74,10 @@ from .expressions import (
     _evaluate_array,
     _rename,
 )
-from .grids import Grid, SampledFn, weighted_norm
+from .grids import Grid, SampledFn, weighted_norm, _weighted_l2
 from .operators import (
     FracOperator,
     FracOrder,
-    OperatorKind,
     _lower_toeplitz,
     build_left_rlfd,
     build_left_rlfi,
@@ -241,26 +241,23 @@ class Residual:
 
     def interior_norm(self, margin: int | None = None) -> float:
         sl = self.grid.interior(margin)
-        w = self.grid.quad_weights[sl]
-        v = self.values[:, sl]
-        return float(np.sqrt(np.sum(w * v * v)))
+        return _weighted_l2(self.grid.quad_weights[sl], self.values[:, sl])
 
 
 class DiscreteProblem:
     """A problem bound to a grid: its operators and the partials of L and g.
 
-    Exposes the channels, the functional, the residuals of L and g, the
-    exact gradient, and the exact Hessian product of L + lam g with its
+    Exposes the channels, the values and residuals of L and g, the exact
+    gradient, and the exact Hessian product of L + lam g with its
     preconditioner; the solver drives everything through this object.
     names, live and partials hold one entry per channel, in channel order:
     live[a] tells whether L or g reads channel a, and partials[a] is
     dL/da, or None where L does not read a.  Channel arrays (from
-    channels; into env, functional_value and curvature) are (C, n) in
-    that order, and the curvature (C, C, n), S[a, b] for channels a, b.
-    The operators of live channels are built here, one pair per order,
-    and the others on first use; g's partials and all second partials
-    are derived on first use.  Get one through assemble, which keeps it
-    on the grid.
+    channels; into env, value and curvature) are (C, n) in that order,
+    and the curvature (C, C, n), S[a, b] for channels a, b.  Operators
+    are built on first apply, one pair per order; g's partials and all
+    second partials are derived on first use.  Get one through assemble,
+    which keeps it on the grid.
     """
 
     def __init__(self, problem: VarProblem, grid: Grid):
@@ -292,8 +289,6 @@ class DiscreteProblem:
         self._orders = [(build_left_rlfi, 1.0 - a.value, False) for a in problem.alphas]
         self._orders += [(build_left_rlfd, b.value, True) for b in problem.betas]
         self._operators = {}
-        for a in self._live_rows:
-            self._map(a)
 
     # -- channels ----------------------------------------------------------
 
@@ -308,6 +303,11 @@ class DiscreteProblem:
             self._operators[i] = (op, build_right_adjoint(op), continued)
         op, adjoint, continued = self._operators[i]
         return op, adjoint, k, continued
+
+    def _strength(self, a: int) -> float:
+        """Channel a's order as a derivative: beta, or -(1 - alpha)."""
+        _, order, continued = self._orders[a // self.problem.n_unknowns]
+        return order if continued else -order
 
     def channels(self, Y: np.ndarray, every: bool = False) -> np.ndarray:
         """The (C, n) channels of Y: integral, then (endpoint-continued)
@@ -332,12 +332,15 @@ class DiscreteProblem:
 
     # -- functional, residual, gradient ------------------------------------
 
-    def functional_value(self, expr: Expr, c: np.ndarray) -> float:
-        vals = _evaluate_array(expr, self.env(c), self.grid.n_nodes)
+    def value(self, c: np.ndarray, constraint: bool = False) -> float:
+        """The quadrature integral of L (of g if constraint is set) at the
+        channels c, in the problem's own spelling, which domain errors quote."""
+        e = self.problem.constraint.g if constraint else self.problem.lagrangian
+        vals = _evaluate_array(e, self.env(c), self.grid.n_nodes)
         return float(self.grid.quad_weights @ vals)
 
     def functional(self, Y: np.ndarray) -> float:
-        return self.functional_value(self.problem.lagrangian, self.channels(Y))
+        return self.value(self.channels(Y))
 
     def residual_values(self, Y: np.ndarray) -> np.ndarray:
         return self._residual_from(self.channels(Y))
@@ -436,7 +439,7 @@ class DiscreteProblem:
             diag = [a for a in range(k, len(self.names), K) if (a, a) in self._second_partials]
             if not diag:
                 continue
-            a = max(diag, key=lambda b: _strength(self._map(b)[0]))
+            a = max(diag, key=self._strength)
             op, _, _, continued = self._map(a)
             ws = w * S[a, a]
             if continued:
@@ -483,14 +486,6 @@ def _curved_pairs(partials: tuple[Expr | None, ...], names: tuple[str, ...]) -> 
 _WEIGHT_FLOOR = 1e-12
 # problems a grid keeps, the oldest evicted first
 _GRID_PROBLEMS = 8
-
-
-def _strength(op: FracOperator) -> float:
-    """The operator's order as a derivative: b for an RLFD of order b,
-    -a for an RLFI of order a."""
-    if op.kind is OperatorKind.LEFT_RLFD:
-        return op.order.value
-    return -op.order.value
 
 
 def assemble(problem: VarProblem, grid: Grid) -> DiscreteProblem:
@@ -577,5 +572,4 @@ def constraint_value(problem: VarProblem, y, grid: Grid) -> float:
     if problem.constraint is None:
         raise ValueError("constraint_value requires a constrained problem")
     dp = assemble(problem, grid)
-    Y = _normalize_samples(problem, grid, y)
-    return dp.functional_value(problem.constraint.g, dp.channels(Y))
+    return dp.value(dp.channels(_normalize_samples(problem, grid, y)), constraint=True)

@@ -224,7 +224,6 @@ def _newton(problem: VarProblem, grid: Grid, cfg: SolveConfig | None, y0) -> Sol
     cfg = cfg or SolveConfig()
     con = problem.constraint
     dp = assemble(problem, grid)
-    L = problem.lagrangian
     w = grid.quad_weights
     mask = _free_mask(problem, grid)
     lowered = []  # what the line search lowers, at each accepted iterate
@@ -239,7 +238,7 @@ def _newton(problem: VarProblem, grid: Grid, cfg: SolveConfig | None, y0) -> Sol
         gap, r_C, f = 0.0, None, J
         if con is not None:
             r_C = dp._residual_from(c, constraint=True)
-            gap = dp.functional_value(con.g, c) - con.ell
+            gap = dp.value(c, constraint=True) - con.ell
             r = r + lam * r_C
             g = (w * r)[mask]
             f = float(g @ g + gap * gap)
@@ -260,7 +259,7 @@ def _newton(problem: VarProblem, grid: Grid, cfg: SolveConfig | None, y0) -> Sol
     Y = _start(problem, grid, y0)
     c = dp.channels(Y)
     lam = 0.0
-    J = dp.functional_value(L, c)
+    J = dp.value(c)
     state = point(c, lam, J, 0)
     if state is None or not np.isfinite(J + state[0]):
         raise ArithmeticError("non-finite functional value or gradient at iteration 0")
@@ -293,7 +292,7 @@ def _newton(problem: VarProblem, grid: Grid, cfg: SolveConfig | None, y0) -> Sol
 
         def trial(t):
             c_t = c + t * dc
-            J_t = dp.functional_value(L, c_t)
+            J_t = dp.value(c_t)
             if not np.isfinite(J_t) or (con is None and not J_t <= J + _ARMIJO_C * t * slope):
                 return None
             lam_t = lam + t * dlam

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import fracvar.certify
 from fracvar import (
     ExactField,
     Grid,
@@ -50,6 +51,23 @@ def test_hessian_search_counterexample():
     assert ce.violation == -2.38037109375e-05
     assert all(type(getattr(ce, f)) is float for f in ("x", "u", "v", "du", "dv", "violation"))
     assert gradient_inequality_gap(L, ce.x, ce.u, ce.v, ce.du, ce.dv) == ce.violation
+
+
+@pytest.mark.parametrize("L", ["v^2", "v^4 - v^2/100"])
+def test_check_convexity_derives_each_partial_once(L, monkeypatch):
+    # Lu and Lv, then Luu, Luv and Lvv from them; v^4 - v^2/100 also runs
+    # the Hessian search, which reuses L, Lu and Lv
+    derived = []
+    differentiate = fracvar.certify.differentiate
+
+    def counting(e, name):
+        derived.append(name)
+        return differentiate(e, name)
+
+    monkeypatch.setattr(fracvar.certify, "differentiate", counting)
+    rep = check_convexity(L, BOX)
+    assert rep.convex is (L == "v^2")
+    assert derived == ["u", "v", "u", "v", "v"]
 
 
 def test_hessian_search_without_a_finite_gap_keeps_a_zero_increment():

@@ -296,6 +296,21 @@ def test_problem_rejected_by_varproblem_exits_2(tmp_path, capsys, edit, message)
     assert message in capsys.readouterr().err
 
 
+def test_overflowing_literal_exits_2(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "functional_zero.json").read_text())
+    doc["lagrangian"] = "v^2 + 1e999*u"
+    rc = main(["run", write_problem(tmp_path / "p.json", doc),
+               "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 2
+    assert "lagrangian: number '1e999' overflows a float" in capsys.readouterr().err
+
+
+def test_null_pins_mean_no_pins(tmp_path):
+    rc, summary = run_fixture(tmp_path, "solve_quadratic", pins=None)
+    assert rc == 0 and summary["converged"]
+    assert "pins" not in summary["config"]
+
+
 def test_sweep_order_rejected_by_varproblem_exits_2(tmp_path, capsys):
     doc = json.loads((FIXTURES / "limit_sweep_classical.json").read_text())
     doc["sweep"]["orders"] = [1e-17]

@@ -1,4 +1,6 @@
 """Expression parsing, evaluation, symbolic differentiation, printing."""
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from fracvar import (
     simplify,
     to_string,
 )
-from fracvar.expressions import Bin, Num, Var
+from fracvar.expressions import Bin, Call, Neg, Num, Var
 
 from helpers import central_diff, random_expr, random_smooth_expr
 
@@ -115,6 +117,15 @@ def test_simplify_identities():
     assert simplify(Bin("*", Num(2.0), Num(3.0))) == Num(6.0)
 
 
+def test_simplify_divides_by_one_and_folds_only_finite_constants():
+    # 0/c folds by evaluation, which keeps the sign of zero; a result that
+    # overflows stays unfolded for evaluation to report
+    assert simplify(parse("x/1")) == Var("x")
+    folded = simplify(parse("0/(-2)"))
+    assert folded == Num(-0.0) and math.copysign(1.0, folded.value) == -1.0
+    assert simplify(parse("exp(1000)")) == Call("exp", Num(1000.0))
+
+
 def test_free_vars():
     assert free_vars(parse("sin(x)*u + v/2")) == frozenset({"x", "u", "v"})
     assert free_vars(parse("3 + 4")) == frozenset()
@@ -124,6 +135,24 @@ def test_syntax_errors():
     for bad in ("2 +", "(x", "x 3", "", "fo o(3)", "foo(3)", "^2"):
         with pytest.raises(ExprSyntaxError):
             parse(bad)
+
+
+def test_overflowing_literal_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError, match="'1e999' overflows") as err:
+        parse("v^2 + 1e999*u")
+    assert err.value.offset == 6
+    assert parse("1.7976931348623157e308") == Num(1.7976931348623157e308)
+
+
+def test_non_finite_literal_prints_and_fails_in_evaluation():
+    # a hand-built tree can hold what the parser refuses
+    e = Bin("*", Num(math.inf), Var("v"))
+    assert to_string(e) == "inf*v"
+    assert to_string(Neg(Num(math.nan))) == "-nan"
+    with pytest.raises(ExprDomainError, match="non-finite value in 'inf\\*v'"):
+        evaluate(e, {"v": 1.0})
+    # 0/nan is left for evaluation to report, not folded to 0
+    assert to_string(simplify(Bin("/", Num(0.0), Num(math.nan)))) == "0/nan"
 
 
 def test_eval_errors():

@@ -1,4 +1,6 @@
 """Grid layout, trapezoid weights, sampling, and the weighted norm."""
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,17 @@ def test_weighted_norm_matches_manual():
     )
 
 
+def test_weighted_norm_of_huge_finite_values_is_finite():
+    # the squares of 1e160 overflow; the norm itself is 1e160
+    g = Grid(0.0, 1.0, 32)
+    assert weighted_norm(g, np.full(33, 1e160)) == pytest.approx(1e160, rel=1e-15)
+    v = np.full(33, 1e160)
+    v[5] = np.inf
+    assert weighted_norm(g, v) == np.inf
+    v[6] = np.nan
+    assert np.isnan(weighted_norm(g, v))
+
+
 def test_sample_and_readonly_values():
     g = Grid(0.0, 1.0, 16)
     sf = sample(g, np.sin)
@@ -45,6 +58,14 @@ def test_sample_and_readonly_values():
     assert np.array_equal(sf.values, np.sin(g.nodes))
     with pytest.raises(ValueError):
         sf.values[0] = 99.0
+
+
+def test_sample_falls_back_to_scalar_calls():
+    # math.sqrt takes no array, and a callable returning one number per
+    # call has the wrong shape for the nodes; both are called per node
+    g = Grid(0.0, 1.0, 16)
+    assert np.array_equal(sample(g, math.sqrt).values, np.sqrt(g.nodes))
+    assert np.array_equal(sample(g, lambda x: 2.0).values, np.full(17, 2.0))
 
 
 def test_interior_margin():

@@ -239,6 +239,15 @@ def test_constraint_value_fixtures(grid1k):
     assert abs(got - 0.7522527781) <= 1e-4
 
 
+def test_value_is_the_functional_and_the_constraint_value(grid1k):
+    p = half_problem("v^2", constraint=Constraint("u*v + x", 0.3))
+    y = np.sqrt(grid1k.nodes) / gamma(1.5)
+    dp = assemble(p, grid1k)
+    c = dp.channels(y[None, :])
+    assert dp.value(c, constraint=True).hex() == constraint_value(p, y, grid1k).hex()
+    assert dp.value(c).hex() == evaluate_functional(p, y, grid1k).hex()
+
+
 def test_constraint_value_requires_constraint(grid64):
     p = half_problem("v^2")
     with pytest.raises(ValueError):
@@ -316,6 +325,17 @@ def test_only_live_channels_are_built_and_applied(monkeypatch):
     assert np.isfinite(evaluate_functional(p, y, g))
     assert len(built) == 0
     assert applied == [OperatorKind.LEFT_RLFD]
+
+
+def test_operators_are_built_on_first_apply(monkeypatch):
+    # assembling builds nothing; the first channels call builds the live
+    # RLFD pair and nothing else
+    built, _ = record_operator_work(monkeypatch)
+    g = Grid(0.0, 1.0, 64)
+    dp = assemble(half_problem("(v - 1)^2"), g)
+    assert built == []
+    dp.channels(np.sqrt(g.nodes)[None, :])
+    assert [op.kind for op in built] == [OperatorKind.LEFT_RLFD, OperatorKind.RIGHT_RLFD]
 
 
 def test_grid_keeps_the_last_eight_problems():

@@ -310,6 +310,18 @@ def test_persample_overflow_surfaces_from_expressions(grid64):
         minimize(p, grid64, y0=np.full(grid64.n_nodes, 1000.0))
 
 
+def test_residual_past_1e154_has_a_finite_norm():
+    # -exp(u) at 700 sqrt(x)/Gamma(1.5): the residual exp(u) pulled back is
+    # finite near 1e302, and its squares overflow; the solve makes no
+    # progress, but its history records the finite norm without a warning
+    g = Grid(0.0, 1.0, 32)
+    p = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian="-exp(u)", pins=(0.0, None))
+    report = minimize(p, g, SolveConfig(max_iters=20), 700.0 * np.sqrt(g.nodes) / gamma(1.5))
+    assert report.stop_reason == "no_progress"
+    assert np.all(np.isfinite(report.history))
+    assert report.residual_norm == pytest.approx(1.499e302, rel=1e-3)
+
+
 # ---------------------------------------------------------------- gradient
 
 def test_gradient_zero_at_flat_candidate(grid64):

@@ -128,6 +128,11 @@ VARIANTS = {
         "certify_convex_mixed",
         {"lagrangian": "log(-1 - v^2)",
          "certify": {"box": [[0.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]], "samples_per_axis": 9}}, []),
+    # the sampled gradient inequality holds and the sampled Hessian fails
+    # at v = 0, so the increment search runs
+    "convex-hessian-only": ("certify_convex_mixed", {"lagrangian": "v^4 - v^2/100"}, []),
+    "pins-null": ("solve_quadratic", {"pins": None}, []),
+    "literal-overflow": ("functional_zero", {"lagrangian": "v^2 + 1e999*u"}, []),
 }
 
 _RESIDUAL_COLUMN = re.compile(r"residual|r\d+")
