@@ -161,10 +161,18 @@ def _pcg(dp, s: np.ndarray, precond, mask: np.ndarray, b: np.ndarray) -> tuple[n
     or at the first direction p with p^T H p <= 0 (Steihaug 1983): d is
     then the last iterate, or p = P^-1 b itself at the first iteration.
     Every earlier direction had positive curvature, so b^T d > 0 for
-    every nonzero d returned.
+    every nonzero d returned.  Where the squares of b overflow, so that
+    the stop threshold is not finite, it solves for b / max|b| and scales
+    d back.
     """
     w = dp.grid.quad_weights
     stop = _CG_RTOL**2 * float(np.vdot(b, b / w))
+    if not np.isfinite(stop):
+        # b is finite (the residual of an accepted iterate is), so b / top
+        # has squares that fit
+        top = float(np.max(np.abs(b)))
+        d, n_products = _pcg(dp, s, precond, mask, b / top)
+        return top * d, n_products
     d = np.zeros_like(b)
     r = b
     p = rz = None

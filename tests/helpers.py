@@ -10,7 +10,7 @@ import numpy as np
 
 import fracvar.problems
 from fracvar.expressions import Bin, Call, Expr, Neg, Num, Var
-from fracvar.operators import _TRI
+from fracvar.operators import _BLOCK, _RADIX, _SPAN
 
 ALL_FUNCS = ("sin", "cos", "exp", "log", "sqrt")
 BIN_OPS = ("+", "-", "*", "/", "^")
@@ -126,9 +126,30 @@ def dense_mirror(left: np.ndarray) -> np.ndarray:
 
 
 def levels(n: int) -> list[int]:
-    """The level sides s of the block-path matvec of n samples:
-    _TRI, 2 _TRI, ... below n."""
-    return [_TRI << k for k in range(n.bit_length()) if _TRI << k < n]
+    """The level sides s of the block-path matvec of n samples: _BLOCK,
+    then _RADIX times the last side while it cuts n into more than _SPAN
+    blocks."""
+    sides = [_BLOCK]
+    while -(-n // sides[-1]) > _SPAN:
+        sides.append(_RADIX * sides[-1])
+    return sides
+
+
+def record_kernel_transforms(monkeypatch) -> list[int]:
+    """A list of the kernel transforms np.fft.rfft makes, filled as the
+    calls happen: the width 2s - 1 of the kernel segments at a level of
+    side s.  The sample blocks it transforms have the even width s and
+    are not recorded."""
+    widths = []
+    rfft = np.fft.rfft
+
+    def recording(a, *args, **kwargs):
+        if np.shape(a)[-1] % 2:
+            widths.append(np.shape(a)[-1])
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", recording)
+    return widths
 
 
 def record_assembly_work(monkeypatch) -> tuple[list, list]:

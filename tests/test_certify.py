@@ -136,6 +136,17 @@ def test_samples_per_axis_validation():
         check_convexity("v^2", BOX, samples_per_axis=2)
 
 
+def test_boxes_are_validated():
+    # a convexity box needs three (lo, hi) pairs and a field box two, each
+    # finite with lo < hi
+    with pytest.raises(ValueError, match=r"^box needs 3 \(lo, hi\) pairs, got 2$"):
+        check_convexity("v^2", UNIT)
+    with pytest.raises(ValueError, match=r"^field box bounds must be finite with lo < hi, got \(1\.0, 1\.0\)$"):
+        ExactField(phi="1", s_fn="y", box=((1.0, 1.0), (-1.0, 1.0)))
+    with pytest.raises(ValueError, match=r"^field box bounds must be finite with lo < hi, got \(-1\.0, inf\)$"):
+        ExactField(phi="1", s_fn="y", box=((0.0, 1.0), (-1.0, np.inf)))
+
+
 # ---------------------------------------------------------------- excess
 
 def test_excess_collapses_at_equal_slopes():

@@ -24,7 +24,8 @@ from fracvar import (
     gamma,
     gradient,
 )
-from helpers import dense_adjoint, dense_left_rlfd, dense_left_rlfi, dense_mirror, levels
+from helpers import (dense_adjoint, dense_left_rlfd, dense_left_rlfi, dense_mirror, levels,
+                     record_kernel_transforms)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -471,6 +472,30 @@ def test_block_apply_left_causality(build):
         assert out[j] != base[j]
 
 
+def test_three_level_matvec_matches_a_full_convolution_and_is_causal():
+    # the first size with a third level; the reference is one FFT of the
+    # whole convolution, round-off measured against the sum of |terms|
+    n = operators._BLOCK * operators._RADIX * operators._SPAN + 1
+    assert len(levels(n)) == 3
+    rng = np.random.default_rng(43)
+    t = build_left_rlfi(Grid(0.0, 1.0, n), 0.4)._kernel
+    x = rng.standard_normal(n)
+    spectra = {}
+    got = operators._lower_toeplitz(t, x, spectra)
+
+    def full(a, b):
+        return np.fft.irfft(np.fft.rfft(a, 2 * n) * np.fft.rfft(b, 2 * n), 2 * n)[:n]
+
+    scale = float(np.max(full(np.abs(t), np.abs(x))))
+    assert np.max(np.abs(got - full(t, x))) <= 1e-13 * scale
+    for j in (n // 3, n - 2):
+        bumped = x.copy()
+        bumped[j] = np.nan
+        out = operators._lower_toeplitz(t, bumped, spectra)
+        assert out[:j].tobytes() == got[:j].tobytes()
+        assert np.all(np.isnan(out[j:]))
+
+
 def test_block_apply_integration_by_parts():
     n = 4096
     g = Grid(0.0, 1.0, n)
@@ -503,32 +528,26 @@ def test_apply_up_to_leaf_is_one_direct_convolution(n, monkeypatch):
 
 @pytest.mark.parametrize("build", (build_left_rlfi, build_left_rlfd))
 def test_operator_and_adjoint_transform_the_kernel_once_per_level(build, monkeypatch):
-    # at N = 4096 six applies of a left operator and its adjoint transform
-    # the kernel once per block-path level (the only one-dimensional
-    # rffts), and every warm apply has the bits of a freshly built
-    # operator's apply
-    n = 4096
-    g = Grid(0.0, 1.0, n)
-    inputs = np.random.default_rng(67).standard_normal((3, n + 1))
-    fresh = []
-    for f in inputs:
+    # at N = 4096 (one level) and N = 2^14 + 1 (two levels) six applies of
+    # a left operator and its adjoint transform the kernel once per
+    # block-path level (one batched rfft of its segments), and every warm
+    # apply has the bits of a freshly built operator's apply
+    for n in (4096, 2**14 + 1):
+        g = Grid(0.0, 1.0, n)
+        inputs = np.random.default_rng(67).standard_normal((3, n + 1))
+        fresh = []
+        for f in inputs:
+            op = build(g, 0.3)
+            fresh.append((op.apply(f), build_right_adjoint(op).apply(f)))
         op = build(g, 0.3)
-        fresh.append((op.apply(f), build_right_adjoint(op).apply(f)))
-    op = build(g, 0.3)
-    adj = build_right_adjoint(op)
-    kernel_sizes = []
-    rfft = np.fft.rfft
-
-    def counting(a, *args, **kwargs):
-        if np.ndim(a) == 1:
-            kernel_sizes.append(np.size(a))
-        return rfft(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "rfft", counting)
-    for f, (left, right) in zip(inputs, fresh):
-        assert np.array_equal(op.apply(f), left)
-        assert np.array_equal(adj.apply(f), right)
-    assert kernel_sizes == [2 * s - 1 for s in levels(n)]
+        adj = build_right_adjoint(op)
+        with monkeypatch.context() as m:
+            widths = record_kernel_transforms(m)
+            for f, (left, right) in zip(inputs, fresh):
+                assert np.array_equal(op.apply(f), left)
+                assert np.array_equal(adj.apply(f), right)
+        assert widths == [2 * s - 1 for s in levels(n)]
+        assert len(widths) == (1 if n == 4096 else 2)
 
 
 @pytest.mark.parametrize("n", (1, 7, 300, 2048))

@@ -100,8 +100,11 @@ def test_gradient_identity_quadratic(case, alpha, beta, c):
 
 matvec_sizes = st.integers(min_value=1, max_value=3000)
 kernels = st.sampled_from((build_left_rlfi, build_left_rlfd))
-# the sizes on both sides of the triangle side and of the direct cutoff
-EDGES = (operators._TRI, operators._TRI + 1, operators._LEAF, operators._LEAF + 1, 3000)
+# the sizes on both sides of the triangle side and of the direct cutoff,
+# a size one past a block multiple, the first size with a second level and
+# one whose last group of blocks holds several, but not all
+EDGES = (operators._TRI, operators._TRI + 1, operators._LEAF, operators._LEAF + 1, 3000,
+         2**12 + 1, operators._BLOCK * operators._SPAN + 1, 20000)
 
 
 def kernel_and_samples(n, order, build, seed):
@@ -116,6 +119,9 @@ def kernel_and_samples(n, order, build, seed):
 @example(EDGES[2], 0.5, build_left_rlfi, 3)
 @example(EDGES[3], 0.5, build_left_rlfd, 4)
 @example(EDGES[4], 0.5, build_left_rlfi, 5)
+@example(EDGES[5], 0.3, build_left_rlfd, 9)
+@example(EDGES[6], 0.7, build_left_rlfi, 10)
+@example(EDGES[7], 0.2, build_left_rlfd, 13)
 def test_lower_toeplitz_matches_direct_convolution(n, order, build, seed):
     # round-off within 1e-13 of the largest sum of |terms| over an output
     t, x = kernel_and_samples(n, order, build, seed)
@@ -134,6 +140,8 @@ bumps = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
 @example(3000, 0.5, build_left_rlfd, 6, 700, np.nan)
 @example(EDGES[3], 0.5, build_left_rlfi, 7, operators._TRI, np.inf)
 @example(EDGES[3], 0.5, build_left_rlfi, 8, operators._LEAF, 1e308)
+@example(EDGES[5], 0.5, build_left_rlfd, 11, 2**11 + 5, np.nan)
+@example(EDGES[6], 0.5, build_left_rlfi, 12, 3 * operators._BLOCK * operators._RADIX + 5, -np.inf)
 def test_lower_toeplitz_is_causal(n, order, build, seed, j, bump):
     # setting sample j to any value, finite or not, leaves every output
     # before j bit-identical, on cold and warm kernel transforms

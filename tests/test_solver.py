@@ -28,7 +28,7 @@ import fracvar.problems
 import fracvar.solve as solve_module
 from fracvar import operators
 from fracvar.problems import DiscreteProblem
-from helpers import levels, random_smooth_samples
+from helpers import levels, random_smooth_samples, record_kernel_transforms
 
 ISO_CFG = SolveConfig(max_iters=8000, grad_tol=1e-6)
 
@@ -310,16 +310,28 @@ def test_persample_overflow_surfaces_from_expressions(grid64):
         minimize(p, grid64, y0=np.full(grid64.n_nodes, 1000.0))
 
 
-def test_residual_past_1e154_has_a_finite_norm():
+def overflowing_solve():
     # -exp(u) at 700 sqrt(x)/Gamma(1.5): the residual exp(u) pulled back is
-    # finite near 1e302, and its squares overflow; the solve makes no
-    # progress, but its history records the finite norm without a warning
+    # finite near 1e302, and its squares overflow
     g = Grid(0.0, 1.0, 32)
     p = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian="-exp(u)", pins=(0.0, None))
-    report = minimize(p, g, SolveConfig(max_iters=20), 700.0 * np.sqrt(g.nodes) / gamma(1.5))
-    assert report.stop_reason == "no_progress"
+    return minimize(p, g, SolveConfig(max_iters=20), 700.0 * np.sqrt(g.nodes) / gamma(1.5))
+
+
+def test_residual_past_1e154_has_a_finite_norm():
+    # the history records the finite norms without a warning
+    report = overflowing_solve()
     assert np.all(np.isfinite(report.history))
-    assert report.residual_norm == pytest.approx(1.499e302, rel=1e-3)
+    assert report.history[0, 1] == pytest.approx(1.499e302, rel=1e-3)
+
+
+def test_cg_steps_when_the_squares_of_its_right_hand_side_overflow():
+    # CG's stop threshold overflows at this start; it solves the scaled
+    # system instead, so the first step moves and lowers J
+    report = overflowing_solve()
+    assert report.linear_iters >= 1
+    assert report.history[1, 0] < report.history[0, 0]
+    assert report.stop_reason == "max_iters"
 
 
 # ---------------------------------------------------------------- gradient
@@ -511,18 +523,10 @@ def test_preconditioner_transforms_the_inverse_kernel_once_per_level(monkeypatch
                   lambda t, x, spectra=None: operators._lower_toeplitz(t, x))
         want = [dp.preconditioner(curv)(r) for r in R]
     precond = dp.preconditioner(curv)
-    kernel_sizes = []
-    rfft = np.fft.rfft
-
-    def counting(a, *args, **kwargs):
-        if np.ndim(a) == 1:
-            kernel_sizes.append(np.size(a))
-        return rfft(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "rfft", counting)
+    widths = record_kernel_transforms(monkeypatch)
     for r, z in zip(R, want):
         assert np.array_equal(precond(r), z)
-    assert kernel_sizes == [2 * s - 1 for s in levels(g.n_nodes)]
+    assert widths == [2 * s - 1 for s in levels(g.n_nodes)]
 
 
 def test_unknown_without_a_curved_diagonal_keeps_the_identity_preconditioner():
@@ -553,19 +557,13 @@ def test_preconditioners_of_one_operator_share_its_inverse_transforms(monkeypatc
         m.setattr(fracvar.problems, "_lower_toeplitz",
                   lambda t, x, spectra=None: operators._lower_toeplitz(t, x))
         want = [dp.preconditioner(curv)(r) for r in R]
+    widths = record_kernel_transforms(monkeypatch)
     counts = []
-    rfft = np.fft.rfft
-
-    def counting(a, *args, **kwargs):
-        if np.ndim(a) == 1:
-            counts[-1] += 1
-        return rfft(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "rfft", counting)
     for r, z in zip(R, want):
-        counts.append(0)
+        before = len(widths)
         assert np.array_equal(dp.preconditioner(curv)(r), z)
-    assert counts == [len(levels(g.n_nodes)), 0, 0] == [6, 0, 0]
+        counts.append(len(widths) - before)
+    assert counts == [len(levels(g.n_nodes)), 0, 0] == [1, 0, 0]
 
 
 def test_minimize_two_unknowns_two_orders():

@@ -65,8 +65,8 @@ VARIANTS = {
     "tiny-alpha": ("el_residual_extremal", {"orders": {"alpha": 1e-17, "beta": 0.5}}, []),
     "n-cells-0": ("solve_quadratic", {}, ["--n-cells", "0"]),
     "n-cells-32": ("el_residual_extremal", {}, ["--n-cells", "32"]),
-    # past the direct-convolution cutoff: the triangle products, the FFT
-    # levels and the preconditioner's block solves
+    # past the direct-convolution cutoff: the near-field products, the
+    # delay line and the preconditioner's block solves
     "el-residual-n-cells-2048": ("el_residual_extremal", {}, ["--n-cells", "2048"]),
     "solve-n-cells-2048": ("solve_quadratic", {}, ["--n-cells", "2048"]),
     "solver-step-init": ("solve_quadratic", {"solver": {"step_init": 0.5}}, []),
