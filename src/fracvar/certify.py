@@ -20,6 +20,7 @@ import numpy as np
 
 from .expressions import (
     Expr,
+    Num,
     differentiate,
     evaluate,
     free_vars,
@@ -28,7 +29,7 @@ from .expressions import (
     _evaluate_array,
 )
 from .grids import Grid, SampledFn, _weighted_l2
-from .problems import VarProblem, assemble, _normalize_samples
+from .problems import VarProblem, assemble, _curved_pairs, _first_partials, _normalize_samples
 
 __all__ = [
     "Counterexample",
@@ -134,35 +135,39 @@ def check_convexity(L, box, samples_per_axis: int = 9) -> ConvexityReport:
         L(x, u+du, v+dv) - L(x, u, v) >= dL/du * du + dL/dv * dv
     for every sampled base point and every sampled increment that stays in
     the box, and cross-checks the sampled (u, v) Hessian for positive
-    semidefiniteness.  Convex means both passed at every conclusive point
-    and some gradient-inequality sample was conclusive; points where the
-    expression is undefined are recorded as inconclusive, not as
-    violations.  L may use only x, u and v (ValueError otherwise).
+    semidefiniteness.  L, its u and v partials and its uu, uv and vv
+    partials (by the solver's derivation rule; one it drops is zero) are
+    each sampled once on one (x, u, v) grid of samples_per_axis points per
+    axis, an integer >= 3.  Convex means both passed at every conclusive
+    point and some gradient-inequality sample was conclusive; points where
+    an expression is undefined are recorded as inconclusive, not as
+    violations, in the order of those six samplings.
+    L may use only x, u and v (ValueError otherwise).
     """
     L = _lagrangian(L)
     box = _check_box(box, 3, "box")
-    s = int(samples_per_axis)
-    if s < 3:
-        raise ValueError(f"samples_per_axis must be >= 3, got {samples_per_axis}")
-    Lu = differentiate(L, "u")
-    Lv = differentiate(L, "v")
+    s = samples_per_axis
+    if not isinstance(s, (int, np.integer)) or isinstance(s, bool) or s < 3:
+        raise ValueError(f"samples_per_axis must be an integer >= 3, got {s!r}")
+    partials = _first_partials(L, ("u", "v"))
+    second = _curved_pairs(partials, ("u", "v"))
     xs, us, vs = (np.linspace(lo, hi, s) for (lo, hi) in box)
-    U, V = np.meshgrid(us, vs, indexing="ij")
+    X, U, V = np.meshgrid(xs, us, vs, indexing="ij")
+    env = {"x": X, "u": U, "v": V}
     inconclusive: list = []
-    xuv = ("x", "u", "v")
+    L0, Lu0, Lv0, a, b, c = (
+        _sample_grid(Num(0.0) if e is None else e, env, X.shape, inconclusive, ("x", "u", "v"))
+        for e in (L, *partials, *(second.get(pair) for pair in ((0, 0), (0, 1), (1, 1))))
+    )
     worst = (0.0, None)  # (gap, Counterexample)
     conclusive = False
-    for x in xs:
-        env = {"x": np.full_like(U, x), "u": U, "v": V}
-        L0 = _sample_grid(L, env, U.shape, inconclusive, xuv)
-        Lu0 = _sample_grid(Lu, env, U.shape, inconclusive, xuv)
-        Lv0 = _sample_grid(Lv, env, U.shape, inconclusive, xuv)
+    for k, x in enumerate(xs):
         # gap[i,j,p,q]: base point (u_i, v_j), target point (u_p, v_q)
         gap = (
-            L0[None, None, :, :]
-            - L0[:, :, None, None]
-            - Lu0[:, :, None, None] * (U[None, None, :, :] - U[:, :, None, None])
-            - Lv0[:, :, None, None] * (V[None, None, :, :] - V[:, :, None, None])
+            L0[k][None, None, :, :]
+            - L0[k][:, :, None, None]
+            - Lu0[k][:, :, None, None] * (U[k][None, None, :, :] - U[k][:, :, None, None])
+            - Lv0[k][:, :, None, None] * (V[k][None, None, :, :] - V[k][:, :, None, None])
         )
         if np.all(np.isnan(gap)):
             continue
@@ -184,48 +189,38 @@ def check_convexity(L, box, samples_per_axis: int = 9) -> ConvexityReport:
             )
 
     counter = worst[1] if worst[0] < -_TOL else None
-    hessian_ok, hess_point = _hessian_psd(Lu, Lv, xs, us, vs, inconclusive)
+    # sampled PSD test of the (u, v) Hessian [[a, b], [b, c]]
+    det = a * c - b * b
+    bad = (a < -_TOL) | (c < -_TOL) | (det < -_TOL)
+    bad &= ~np.isnan(a) & ~np.isnan(b) & ~np.isnan(c)
+    hessian_ok = not np.any(bad)
     if counter is None and not hessian_ok:
-        counter = _hessian_counterexample(L, Lu, Lv, hess_point, box)
+        # most negative certificate quantity decides the searched point
+        score = np.where(bad, np.fmin(np.fmin(a, c), det), np.inf)
+        idx = np.unravel_index(np.argmin(score), score.shape)
+        counter = _hessian_counterexample(L, (float(X[idx]), float(U[idx]), float(V[idx])),
+                                          (L0[idx], Lu0[idx], Lv0[idx]), box)
     convex = conclusive and counter is None and hessian_ok
     return ConvexityReport(
         convex=convex,
         counterexample=None if convex else counter,
         box=box,
-        samples_per_axis=s,
+        samples_per_axis=int(s),
         inconclusive=tuple(inconclusive),
     )
 
 
-def _hessian_psd(Lu, Lv, xs, us, vs, inconclusive):
-    """Sampled PSD test of the (u, v) Hessian from Lu and Lv; returns (ok, worst point)."""
-    Luu = differentiate(Lu, "u")
-    Luv = differentiate(Lu, "v")
-    Lvv = differentiate(Lv, "v")
-    X, U, V = np.meshgrid(xs, us, vs, indexing="ij")
-    env = {"x": X, "u": U, "v": V}
-    a, b, c = (_sample_grid(d2, env, X.shape, inconclusive, ("x", "u", "v"))
-               for d2 in (Luu, Luv, Lvv))
-    det = a * c - b * b
-    bad = (a < -_TOL) | (c < -_TOL) | (det < -_TOL)
-    bad &= ~np.isnan(a) & ~np.isnan(b) & ~np.isnan(c)
-    if not np.any(bad):
-        return True, None
-    # most negative certificate quantity decides the reported point
-    score = np.where(bad, np.fmin(np.fmin(a, c), det), np.inf)
-    idx = np.unravel_index(np.argmin(score), score.shape)
-    return False, (float(X[idx]), float(U[idx]), float(V[idx]))
-
-
-def _hessian_counterexample(L, Lu, Lv, point, box) -> Counterexample:
-    """Search small increments at a Hessian-negative point for a violation of
-    L's gradient inequality (partials Lu, Lv); the gap is what it found.
+def _hessian_counterexample(L, point, base, box) -> Counterexample:
+    """Search small increments at a Hessian-negative point (x, u, v) for a
+    violation of L's gradient inequality, given base = (L, dL/du, dL/dv)
+    sampled there; the gap is what it found.
 
     L is evaluated once over the in-box increments (16 angles times 11
     halving scales); the first smallest gap in angle-major order is kept,
     gaps where L or a partial is undefined are skipped, and with no finite
     gap the increment is zero."""
     x, u, v = point
+    L0, Lu0, Lv0 = base
     (_, _), (ulo, uhi), (vlo, vhi) = box
     span = max(uhi - ulo, vhi - vlo)
     angle, scale = np.meshgrid(np.linspace(0.0, 2 * np.pi, 16, endpoint=False),
@@ -234,7 +229,6 @@ def _hessian_counterexample(L, Lu, Lv, point, box) -> Counterexample:
     dv = (scale * np.sin(angle)).ravel()
     inside = (ulo <= u + du) & (u + du <= uhi) & (vlo <= v + dv) & (v + dv <= vhi)
     du, dv = du[inside], dv[inside]
-    L0, Lu0, Lv0 = (_marked(e, {"x": x, "u": u, "v": v}, ())[0] for e in (L, Lu, Lv))
     bumped = _marked(L, {"x": x, "u": u + du, "v": v + dv}, du.shape)[0]
     gap = bumped - L0 - Lu0 * du - Lv0 * dv
     gap[np.isnan(gap)] = np.inf

@@ -535,6 +535,9 @@ def resolve(doc: dict, n_cells_override: int | None = None) -> dict:
     for key in refuses:
         if key in cfg:
             raise ProblemFileError(f"task {task}: does not take '{key}'")
+    n = cfg["grid"]["n_cells"]
+    if task in ("el-residual", "check-field") and n < 2:
+        raise ProblemFileError(f"task {task}: grid.n_cells must be at least 2, got {n}")
     return cfg
 
 

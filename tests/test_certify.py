@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fracvar.certify
+import fracvar.problems
 from fracvar import (
     ExactField,
     Grid,
@@ -55,19 +56,46 @@ def test_hessian_search_counterexample():
 
 @pytest.mark.parametrize("L", ["v^2", "v^4 - v^2/100"])
 def test_check_convexity_derives_each_partial_once(L, monkeypatch):
-    # Lu and Lv, then Luu, Luv and Lvv from them; v^4 - v^2/100 also runs
-    # the Hessian search, which reuses L, Lu and Lv
+    # by the solver's rule: Lv, then Lvv from it; L reads no u, so no u
+    # partial is derived.  v^4 - v^2/100 also runs the Hessian search,
+    # which reads L, Lu and Lv from the samples
     derived = []
-    differentiate = fracvar.certify.differentiate
+    differentiate = fracvar.problems.differentiate
 
     def counting(e, name):
         derived.append(name)
         return differentiate(e, name)
 
+    monkeypatch.setattr(fracvar.problems, "differentiate", counting)
     monkeypatch.setattr(fracvar.certify, "differentiate", counting)
     rep = check_convexity(L, BOX)
     assert rep.convex is (L == "v^2")
-    assert derived == ["u", "v", "u", "v", "v"]
+    assert derived == ["v", "v"]
+
+
+@pytest.mark.parametrize("L", ["v^2", "u^2 + u*v + v^2"])
+@pytest.mark.parametrize("s", [5, 9])
+def test_check_convexity_samples_six_expressions_on_one_grid(L, s, monkeypatch):
+    # L, Lu, Lv, Luu, Luv and Lvv, each once on the (x, u, v) grid; a partial
+    # the derivation rule drops is sampled as zeros
+    shapes = []
+    sample_grid = fracvar.certify._sample_grid
+
+    def counting(expr, env, shape, inconclusive, coords):
+        shapes.append(shape)
+        return sample_grid(expr, env, shape, inconclusive, coords)
+
+    monkeypatch.setattr(fracvar.certify, "_sample_grid", counting)
+    assert check_convexity(L, BOX, s).convex
+    assert shapes == [(s, s, s)] * 6
+
+
+def test_partials_by_unread_channels_are_zero():
+    # x^x reads neither u nor v, so both partials are zero; derived by the
+    # power rule they would hold a 0/x, undefined at x = 0
+    rep = check_convexity("x^x", BOX)
+    assert rep.convex
+    assert rep.inconclusive == ()
 
 
 def test_hessian_search_without_a_finite_gap_keeps_a_zero_increment():
@@ -134,6 +162,18 @@ def test_inconclusive_points_are_distinct():
 def test_samples_per_axis_validation():
     with pytest.raises(ValueError):
         check_convexity("v^2", BOX, samples_per_axis=2)
+
+
+@pytest.mark.parametrize("s", [9.7, "9", True, np.float64(9.0)])
+def test_samples_per_axis_must_be_an_integer(s):
+    with pytest.raises(ValueError, match="samples_per_axis must be an integer"):
+        check_convexity("v^2", BOX, samples_per_axis=s)
+
+
+def test_samples_per_axis_accepts_numpy_integers():
+    rep = check_convexity("v^2", BOX, samples_per_axis=np.int64(5))
+    assert rep.convex
+    assert type(rep.samples_per_axis) is int and rep.samples_per_axis == 5
 
 
 def test_boxes_are_validated():

@@ -447,6 +447,34 @@ def test_n_cells_override_zero_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+ONE_CELL = [("el_residual_extremal", "el-residual"), ("check_field_halfx", "check-field")]
+
+
+@pytest.mark.parametrize("stem, task", ONE_CELL, ids=[stem for stem, _ in ONE_CELL])
+@pytest.mark.parametrize("how", ["file", "override"])
+def test_interior_norm_tasks_refuse_one_cell(tmp_path, capsys, stem, task, how):
+    # one cell has no interior node to take the residual norm over
+    if how == "file":
+        doc, argv = fixture_doc(stem, grid={"n_cells": 1}), []
+    else:
+        doc, argv = fixture_doc(stem), ["--n-cells", "1"]
+    out = tmp_path / "out"
+    rc = main(["run", write_problem(tmp_path / "p.json", doc), "--out", str(out),
+               "--quiet", *argv])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"fracvar: invalid problem file: task {task}: grid.n_cells must be at least 2, got 1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stem", sorted(p.stem for p in FIXTURES.glob("*.json")
+                                        if p.stem not in dict(ONE_CELL)))
+def test_other_tasks_run_on_one_cell(tmp_path, stem):
+    rc = main(["run", str(FIXTURES / f"{stem}.json"), "--out", str(tmp_path / "out"),
+               "--n-cells", "1", "--quiet"])
+    assert rc == 0
+
+
 # -- sections each task needs or refuses -------------------------------------
 
 REQUIRED = [

@@ -1,6 +1,7 @@
 """Property tests for the exact discrete identities, the Toeplitz matvec
-against direct convolution, the parse/print round trip, and certify's
-one-pass grid sampling against scalar evaluation.
+against direct convolution, the parse/print round trip, certify's
+one-pass grid sampling against scalar evaluation, and the convexity
+verdict on quadratic Lagrangians.
 
 Sizes run from 1 to 300 cells (to 3000 for the matvec, across both of its
 cutoffs), orders over the open interval (0, 1), and samples over random
@@ -8,7 +9,7 @@ node vectors.  Examples are derandomized, so every run checks the same
 cases.
 """
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,9 +22,11 @@ from fracvar import (
     build_left_rlfd,
     build_left_rlfi,
     build_right_adjoint,
+    check_convexity,
     el_residual,
     evaluate_functional,
     gradient,
+    gradient_inequality_gap,
 )
 from fracvar import operators
 from fracvar.certify import _MAX_INCONCLUSIVE, _sample_grid
@@ -298,3 +301,24 @@ def test_sample_grid_matches_scalar_on_certify_lagrangians(L, box, s, n_logged):
     Lu, Lv = differentiate(L, "u"), differentiate(L, "v")
     for e in (L, Lu, Lv, differentiate(Lu, "u"), differentiate(Lu, "v"), differentiate(Lv, "v")):
         assert_samples_as_scalar(e, box, s, n_logged)
+
+
+# ------------------------------------------ the convexity verdict on quadratics
+
+@PROPERTY
+@given(coefficients, coefficients, coefficients, coefficients, coefficients)
+def test_convexity_verdict_is_exact_on_quadratics(a, b, c, d, e):
+    # L is jointly convex in (u, v) exactly when [[a, b/2], [b/2, c]] is
+    # positive definite; eigenvalues within 0.05 of zero are left out, since
+    # a sampled test cannot resolve them
+    lam_min = float(np.linalg.eigvalsh([[a, b / 2], [b / 2, c]])[0])
+    assume(abs(lam_min) >= 0.05)
+    L = f"({a})*u^2 + ({b})*u*v + ({c})*v^2 + ({d})*x*u + ({e})*v"
+    rep = check_convexity(L, ((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)))
+    assert rep.convex == (lam_min > 0)
+    if not rep.convex:
+        # the violation may be 0 when a narrow negative cone falls between
+        # the sampled and searched directions; the Hessian test still fails
+        ce = rep.counterexample
+        gap = gradient_inequality_gap(L, ce.x, ce.u, ce.v, ce.du, ce.dv)
+        assert abs(gap - ce.violation) <= 1e-9

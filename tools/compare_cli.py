@@ -65,6 +65,9 @@ VARIANTS = {
     "tiny-alpha": ("el_residual_extremal", {"orders": {"alpha": 1e-17, "beta": 0.5}}, []),
     "n-cells-0": ("solve_quadratic", {}, ["--n-cells", "0"]),
     "n-cells-32": ("el_residual_extremal", {}, ["--n-cells", "32"]),
+    # one cell has no interior node for the residual norm: exit 2
+    "el-residual-one-cell": ("el_residual_extremal", {"grid": {"n_cells": 1}}, []),
+    "check-field-one-cell": ("check_field_halfx", {}, ["--n-cells", "1"]),
     # past the direct-convolution cutoff: the near-field products, the
     # delay line and the preconditioner's block solves
     "el-residual-n-cells-2048": ("el_residual_extremal", {}, ["--n-cells", "2048"]),
