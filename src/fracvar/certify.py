@@ -28,7 +28,7 @@ from .expressions import (
     _eval,
     _evaluate_array,
 )
-from .grids import Grid, SampledFn, _weighted_l2
+from .grids import Grid, SampledFn, _integer, _weighted_l2
 from .problems import VarProblem, assemble, _curved_pairs, _first_partials, _normalize_samples
 
 __all__ = [
@@ -46,6 +46,8 @@ __all__ = [
 
 _TOL = 1e-9
 _MAX_INCONCLUSIVE = 16
+# samples_per_axis from 3 to 32: one call holds 4 s^4 doubles per x slice
+_SAMPLES_PER_AXIS = (3, 32)
 
 
 def _as_expr(L) -> Expr:
@@ -138,17 +140,15 @@ def check_convexity(L, box, samples_per_axis: int = 9) -> ConvexityReport:
     semidefiniteness.  L, its u and v partials and its uu, uv and vv
     partials (by the solver's derivation rule; one it drops is zero) are
     each sampled once on one (x, u, v) grid of samples_per_axis points per
-    axis, an integer >= 3.  Convex means both passed at every conclusive
-    point and some gradient-inequality sample was conclusive; points where
-    an expression is undefined are recorded as inconclusive, not as
-    violations, in the order of those six samplings.
+    axis, an integer from 3 to 32.  Convex means both passed at every
+    conclusive point and some gradient-inequality sample was conclusive;
+    points where an expression is undefined are recorded as inconclusive,
+    not as violations, in the order of those six samplings.
     L may use only x, u and v (ValueError otherwise).
     """
     L = _lagrangian(L)
     box = _check_box(box, 3, "box")
-    s = samples_per_axis
-    if not isinstance(s, (int, np.integer)) or isinstance(s, bool) or s < 3:
-        raise ValueError(f"samples_per_axis must be an integer >= 3, got {s!r}")
+    s = _integer(samples_per_axis, "samples_per_axis", *_SAMPLES_PER_AXIS)
     partials = _first_partials(L, ("u", "v"))
     second = _curved_pairs(partials, ("u", "v"))
     xs, us, vs = (np.linspace(lo, hi, s) for (lo, hi) in box)
@@ -205,7 +205,7 @@ def check_convexity(L, box, samples_per_axis: int = 9) -> ConvexityReport:
         convex=convex,
         counterexample=None if convex else counter,
         box=box,
-        samples_per_axis=int(s),
+        samples_per_axis=s,
         inconclusive=tuple(inconclusive),
     )
 

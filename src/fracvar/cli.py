@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import ExactField, check_convexity, check_field, _field_trajectory
+from .certify import ExactField, check_convexity, check_field, _field_trajectory, _SAMPLES_PER_AXIS
 from .expressions import Expr, ExprDomainError, ExprError, _evaluate_array, _rename, parse
 from .grids import Grid, weighted_norm
 from .operators import (
@@ -97,15 +97,15 @@ def _right_end(val, where: str, cfg: dict) -> float:
     return b
 
 
-def _integer(val, where: str, cfg=None, lo: int = 1) -> int:
-    if isinstance(val, bool) or not isinstance(val, int) or val < lo:
-        what = "a positive integer" if lo == 1 else f"an integer >= {lo}"
+def _integer(val, where: str, cfg=None, lo: int = 1, hi: float = np.inf) -> int:
+    if isinstance(val, bool) or not isinstance(val, int) or not lo <= val <= hi:
+        what = "a positive integer" if hi == np.inf else f"an integer from {lo} to {hi}"
         raise ProblemFileError(f"{where}: expected {what}, got {val!r}")
     return val
 
 
 def _samples_per_axis(val, where: str, cfg=None) -> int:
-    return _integer(val, where, lo=3)
+    return _integer(val, where, cfg, *_SAMPLES_PER_AXIS)
 
 
 def _order_value(val, where: str, cfg=None) -> float:

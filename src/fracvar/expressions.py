@@ -318,21 +318,29 @@ def _eval(e: Expr, env: Mapping[str, float | np.ndarray], bad: np.ndarray | None
 
 
 def differentiate(e: Expr, var: str) -> Expr:
-    """Symbolic partial derivative, simplified by constant folding only."""
+    """Symbolic partial derivative, simplified by constant folding only.
+
+    A subtree that does not read var is a constant, so an e without var
+    gives Num(0.0); only an exponent that reads var takes the exp/log
+    rewrite, which holds for a positive base alone and warns so."""
     if not isinstance(var, str) or not var:
         raise ValueError(f"invalid variable name {var!r}")
     return simplify(_diff(e, var))
 
 
 def _diff(e: Expr, var: str) -> Expr:
+    # a subtree without var gives exactly Num(0.0), as does a node whose operands all do
     if isinstance(e, Num):
         return Num(0.0)
     if isinstance(e, Var):
         return Num(1.0) if e.name == var else Num(0.0)
     if isinstance(e, Neg):
-        return Neg(_diff(e.arg, var))
+        da = _diff(e.arg, var)
+        return da if _is_num(da, 0.0) else Neg(da)
     if isinstance(e, Bin):
         dl, dr = _diff(e.lhs, var), _diff(e.rhs, var)
+        if _is_num(dl, 0.0) and _is_num(dr, 0.0):
+            return dl
         if e.op in "+-":
             return Bin(e.op, dl, dr)
         if e.op == "*":
@@ -340,26 +348,24 @@ def _diff(e: Expr, var: str) -> Expr:
         if e.op == "/":
             num = Bin("-", Bin("*", dl, e.rhs), Bin("*", e.lhs, dr))
             return Bin("/", num, Bin("^", e.rhs, Num(2.0)))
-        # power
-        if isinstance(e.rhs, Num):
-            c = e.rhs.value
-            return Bin(
-                "*", Bin("*", Num(c), Bin("^", e.lhs, Num(c - 1.0))), dl
-            )
-        # non-constant exponent: exp/log rewrite, only valid for positive base
+        if _is_num(dr, 0.0):  # an exponent without var: the power rule p*b^(p - 1)*b'
+            p = e.rhs
+            q = Num(p.value - 1.0) if isinstance(p, Num) else Bin("-", p, Num(1.0))
+            return Bin("*", Bin("*", p, Bin("^", e.lhs, q)), dl)
+        # an exponent that reads var: exp/log rewrite, valid for a positive base
         warnings.warn(
             f"derivative of {to_string(e)!r} uses the exp/log rewrite, "
             "valid only for a positive base",
             stacklevel=3,
         )
-        inner = Bin(
-            "+",
-            Bin("*", dr, Call("log", e.lhs)),
-            Bin("*", e.rhs, Bin("/", dl, e.lhs)),
-        )
+        inner = Bin("*", dr, Call("log", e.lhs))
+        if not _is_num(dl, 0.0):
+            inner = Bin("+", inner, Bin("*", e.rhs, Bin("/", dl, e.lhs)))
         return Bin("*", e, inner)
     if isinstance(e, Call):
         da = _diff(e.arg, var)
+        if _is_num(da, 0.0):
+            return da
         if e.fn == "sin":
             outer: Expr = Call("cos", e.arg)
         elif e.fn == "cos":

@@ -32,12 +32,7 @@ class Grid:
             raise ValueError("grid endpoints must be finite")
         if not self.b > self.a:
             raise ValueError(f"grid requires b > a, got a={self.a}, b={self.b}")
-        n = self.n_cells
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-            raise ValueError(f"n_cells must be an integer, got {n!r}")
-        if n < 1:
-            raise ValueError(f"n_cells must be positive, got {n}")
-        object.__setattr__(self, "n_cells", int(n))
+        object.__setattr__(self, "n_cells", _integer(self.n_cells, "n_cells"))
 
     @property
     def h(self) -> float:
@@ -65,18 +60,22 @@ class Grid:
         # problems assembled on this grid, kept by problems.assemble
         return {}
 
-    def interior(self, margin: int | None = None) -> slice:
-        """Slice of nodes away from both endpoints.
-
-        Operator endpoint rows are unreliable; norm-based accuracy checks
-        use this mask.  Default margin is n_cells // 16, at least 1.
-        """
-        if margin is None:
-            margin = max(1, self.n_cells // 16)
-        margin = int(margin)
-        if margin < 0 or 2 * margin >= self.n_cells + 1:
+    def interior(self) -> slice:
+        """Slice of nodes away from both endpoints, n_cells // 16 (at least
+        1) at each end: operator endpoint rows are unreliable, and
+        norm-based accuracy checks use this mask."""
+        margin = max(1, self.n_cells // 16)
+        if 2 * margin >= self.n_cells + 1:
             raise ValueError(f"margin {margin} leaves no interior nodes")
         return slice(margin, self.n_cells + 1 - margin)
+
+
+def _integer(n, name: str, lo: int = 1, hi: float = np.inf) -> int:
+    """n as an int; every count is an int or numpy integer, not a bool, in [lo, hi]."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not lo <= n <= hi:
+        bound = f">= {lo}" if hi == np.inf else f"from {lo} to {hi}"
+        raise ValueError(f"{name} must be an integer {bound}, got {n!r}")
+    return int(n)
 
 
 @dataclass(frozen=True)

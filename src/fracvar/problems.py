@@ -74,7 +74,7 @@ from .expressions import (
     _evaluate_array,
     _rename,
 )
-from .grids import Grid, SampledFn, weighted_norm, _weighted_l2
+from .grids import Grid, SampledFn, weighted_norm, _integer, _weighted_l2
 from .operators import (
     FracOperator,
     FracOrder,
@@ -146,9 +146,7 @@ class VarProblem:
             if not 1.0 - alpha.value < 1.0:
                 raise ValueError(f"integral order {alpha.value!r}: 1 - alpha rounds to 1")
         object.__setattr__(self, "betas", _as_orders(self.betas, "derivative"))
-        if int(self.n_unknowns) < 1:
-            raise ValueError(f"n_unknowns must be >= 1, got {self.n_unknowns}")
-        object.__setattr__(self, "n_unknowns", int(self.n_unknowns))
+        object.__setattr__(self, "n_unknowns", _integer(self.n_unknowns, "n_unknowns"))
         lag = self.lagrangian
         object.__setattr__(self, "lagrangian", parse(lag) if isinstance(lag, str) else lag)
         object.__setattr__(self, "pins", _normalize_pins(self.pins, self.n_unknowns))
@@ -239,8 +237,8 @@ class Residual:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "norm", float(self.norm))
 
-    def interior_norm(self, margin: int | None = None) -> float:
-        sl = self.grid.interior(margin)
+    def interior_norm(self) -> float:
+        sl = self.grid.interior()
         return _weighted_l2(self.grid.quad_weights[sl], self.values[:, sl])
 
 
@@ -467,10 +465,9 @@ class DiscreteProblem:
 
 
 def _first_partials(e: Expr, names: tuple[str, ...]) -> tuple[Expr | None, ...]:
-    """de/d(channel), one per channel; None where e does not read the
-    channel or the partial is identically zero."""
-    read = free_vars(e)
-    partials = (differentiate(e, name) if name in read else None for name in names)
+    """de/d(channel), one per channel; None where the partial is Num(0.0),
+    as it is for a channel e does not read."""
+    partials = (differentiate(e, name) for name in names)
     return tuple(None if p == Num(0.0) else p for p in partials)
 
 

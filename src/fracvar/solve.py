@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import ExprDomainError
-from .grids import Grid, SampledFn, weighted_norm
+from .grids import Grid, SampledFn, weighted_norm, _integer
 from .problems import VarProblem, assemble, _normalize_samples
 
 __all__ = ["SolveConfig", "SolveReport", "gradient", "minimize", "solve_isoperimetric"]
@@ -73,9 +73,7 @@ class SolveConfig:
     grad_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if int(self.max_iters) < 1:
-            raise ValueError(f"max_iters must be positive, got {self.max_iters}")
-        object.__setattr__(self, "max_iters", int(self.max_iters))
+        object.__setattr__(self, "max_iters", _integer(self.max_iters, "max_iters"))
         grad_tol = float(self.grad_tol)
         if not grad_tol > 0:
             raise ValueError(f"grad_tol must be positive, got {grad_tol}")

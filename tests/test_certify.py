@@ -56,9 +56,9 @@ def test_hessian_search_counterexample():
 
 @pytest.mark.parametrize("L", ["v^2", "v^4 - v^2/100"])
 def test_check_convexity_derives_each_partial_once(L, monkeypatch):
-    # by the solver's rule: Lv, then Lvv from it; L reads no u, so no u
-    # partial is derived.  v^4 - v^2/100 also runs the Hessian search,
-    # which reads L, Lu and Lv from the samples
+    # by the solver's rule: Lu, which is zero at once since L reads no u
+    # and is dropped, Lv, then Lvv from it.  v^4 - v^2/100 also runs the
+    # Hessian search, which reads L, Lu and Lv from the samples
     derived = []
     differentiate = fracvar.problems.differentiate
 
@@ -70,7 +70,7 @@ def test_check_convexity_derives_each_partial_once(L, monkeypatch):
     monkeypatch.setattr(fracvar.certify, "differentiate", counting)
     rep = check_convexity(L, BOX)
     assert rep.convex is (L == "v^2")
-    assert derived == ["v", "v"]
+    assert derived == ["u", "v", "v"]
 
 
 @pytest.mark.parametrize("L", ["v^2", "u^2 + u*v + v^2"])
@@ -92,8 +92,18 @@ def test_check_convexity_samples_six_expressions_on_one_grid(L, s, monkeypatch):
 
 def test_partials_by_unread_channels_are_zero():
     # x^x reads neither u nor v, so both partials are zero; derived by the
-    # power rule they would hold a 0/x, undefined at x = 0
+    # exp/log rewrite they would hold a 0/x, undefined at x = 0
     rep = check_convexity("x^x", BOX)
+    assert rep.convex
+    assert rep.inconclusive == ()
+
+
+def test_a_term_without_the_channel_is_defined_at_x_zero():
+    # the u partial of u*x^x is x^x and the partials of x^x are zero, so
+    # x = 0 (where 0^0 = 1) is an ordinary point for every certificate
+    assert excess("v^2 + u*x^x", 0.0, 1.0, 0.5, 0.7) == pytest.approx(0.04)
+    assert gradient_inequality_gap("v^2 + x^x", 0.0, 0.5, 0.5, 0.1, 0.1) == pytest.approx(0.01)
+    rep = check_convexity("v^2 + u*x^x", BOX)
     assert rep.convex
     assert rep.inconclusive == ()
 
@@ -168,6 +178,12 @@ def test_samples_per_axis_validation():
 def test_samples_per_axis_must_be_an_integer(s):
     with pytest.raises(ValueError, match="samples_per_axis must be an integer"):
         check_convexity("v^2", BOX, samples_per_axis=s)
+
+
+def test_samples_per_axis_is_bounded():
+    # one call holds about 4 s^4 doubles per x slice; 32 is the largest s
+    with pytest.raises(ValueError, match="samples_per_axis must be an integer from 3 to 32"):
+        check_convexity("v^2", BOX, samples_per_axis=33)
 
 
 def test_samples_per_axis_accepts_numpy_integers():

@@ -447,6 +447,18 @@ def test_n_cells_override_zero_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_samples_per_axis_past_its_bound_exits_2(tmp_path, capsys):
+    # one check_convexity call holds about 4 s^4 doubles per x slice
+    doc = fixture_doc("certify_convex_mixed")
+    doc["certify"]["samples_per_axis"] = 33
+    rc = main(["run", write_problem(tmp_path / "p.json", doc),
+               "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 2
+    assert ("certify.samples_per_axis: expected an integer from 3 to 32, got 33"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 ONE_CELL = [("el_residual_extremal", "el-residual"), ("check_field_halfx", "check-field")]
 
 
@@ -716,10 +728,11 @@ def test_solve_builds_each_operator_once(tmp_path, monkeypatch):
     assert counts == {"build_left_rlfd": 1, "build_left_rlfi": 1, "build_right_adjoint": 2}
 
 
-@pytest.mark.parametrize("stem, partials", [("solve_quadratic", 2), ("solve_iso_lambda2", 4)])
+@pytest.mark.parametrize("stem, partials", [("solve_quadratic", 3), ("solve_iso_lambda2", 6)])
 def test_solve_assembles_one_problem(stem, partials, tmp_path, monkeypatch):
     # the solver, nodes.csv and the residual share the problem the grid
-    # keeps: L (and g) are differentiated once, first and second partials
+    # keeps: L (and g) are differentiated once per channel name, then once
+    # per kept pair for the second partials
     made, derived = record_assembly_work(monkeypatch)
     rc = main(["run", str(FIXTURES / f"{stem}.json"), "--out", str(tmp_path / "out"),
                "--quiet"])

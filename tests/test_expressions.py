@@ -60,6 +60,26 @@ def test_derivative_examples():
     assert evaluate(d, {"v": 2.0}) == pytest.approx(fd, abs=1e-8)
 
 
+def test_exponent_without_the_name_takes_the_power_rule():
+    # only an exponent that reads the name takes the exp/log rewrite, and
+    # only that rewrite warns
+    assert to_string(differentiate(parse("v^-2"), "v")) == "(-2)*v^-3"
+    assert to_string(differentiate(parse("u^v"), "u")) == "v*u^(v - 1)"
+    with pytest.warns(UserWarning, match="exp/log rewrite"):
+        assert to_string(differentiate(parse("u^v"), "v")) == "u^v*log(u)"
+
+
+def test_subtree_without_the_name_is_a_constant():
+    # x^x reads no u: its partial is zero, with no dead 0/x term, so the
+    # partial of u*x^x is defined at x = 0 (0^0 = 1)
+    d = differentiate(parse("v^2 + u*x^x"), "u")
+    assert to_string(d) == "x^x"
+    assert evaluate(d, {"x": 0.0}) == 1.0
+    assert differentiate(parse("x^x + sqrt(x)/v - log(v)^x"), "u") == Num(0.0)
+    # cancellation is not detected, only folded
+    assert to_string(differentiate(parse("x - x"), "x")) == "0"
+
+
 def test_derivative_chain_rule():
     d = differentiate(parse("sin(x^2)"), "x")
     for x in (0.3, 1.1, 2.0):

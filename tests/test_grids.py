@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from fracvar import Grid, SampledFn, sample, weighted_norm
+from fracvar import (
+    Grid, SampledFn, SolveConfig, VarProblem, check_convexity, sample, weighted_norm,
+)
 
 
 def test_node_layout():
@@ -72,9 +74,42 @@ def test_interior_margin():
     g = Grid(0.0, 1.0, 64)
     sl = g.interior()
     assert sl == slice(4, 61)  # default margin n_cells // 16
-    assert g.interior(margin=1) == slice(1, 64)
     # tiny grid still strips at least one node each side
     assert Grid(0.0, 1.0, 4).interior() == slice(1, 4)
+    # the margin is not a parameter
+    with pytest.raises(TypeError):
+        g.interior(1.9)
+
+
+# every count of the package, read back from the object it configures
+COUNTS = {
+    "n_cells": lambda n: Grid(0.0, 1.0, n).n_cells,
+    "n_unknowns": lambda n: VarProblem(0.0, 1.0, 0.5, 0.5, "v1^2", n_unknowns=n).n_unknowns,
+    "max_iters": lambda n: SolveConfig(max_iters=n).max_iters,
+    "samples_per_axis": lambda n: check_convexity(
+        "v^2", ((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), samples_per_axis=n).samples_per_axis,
+}
+
+
+@pytest.mark.parametrize("name", COUNTS)
+@pytest.mark.parametrize("n", [2.7, 5.0, True, "5"])
+def test_counts_are_integers(name, n):
+    # no count truncates a float or reads a bool as 1
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        COUNTS[name](n)
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_counts_accept_numpy_integers(name):
+    got = COUNTS[name](np.int64(5))
+    assert type(got) is int and got == 5
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_counts_must_reach_their_floor(name):
+    lo = 3 if name == "samples_per_axis" else 1
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        COUNTS[name](lo - 1)
 
 
 def test_constructor_validation():

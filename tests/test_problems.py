@@ -359,7 +359,8 @@ def test_grid_keeps_the_last_eight_problems():
 
 def test_repeated_evaluations_assemble_and_differentiate_once(monkeypatch):
     # ten rounds of el_residual and evaluate_functional on one grid, each
-    # with a fresh but equal problem: one assembly, one partial derived
+    # with a fresh but equal problem: one assembly, one derivation per
+    # channel (the u1 partial of an L without u1 is zero at once)
     made, derived = record_assembly_work(monkeypatch)
     g = Grid(0.0, 1.0, 4096)
     y = np.sqrt(g.nodes) / gamma(1.5)
@@ -367,12 +368,19 @@ def test_repeated_evaluations_assemble_and_differentiate_once(monkeypatch):
         p = half_problem("(v - 1)^2")
         assert np.isfinite(el_residual(p, y, g).norm)
         assert np.isfinite(evaluate_functional(p, y, g))
-    assert (len(made), derived) == (1, ["v1"])
+    assert (len(made), derived) == (1, ["u1", "v1"])
+
+
+def test_curved_pairs_leave_out_a_quotient_without_the_channel():
+    # u^2/(x + 1) by v is zero itself, not the dead quotient 0/(x + 1)^2,
+    # so its u partial curves (u, u) alone
+    dp = assemble(half_problem("v^2 + u^2/(x + 1)"), Grid(0.0, 1.0, 16))
+    assert set(dp._second_partials) == {(0, 0), (1, 1)}
 
 
 def test_partial_of_an_unread_channel_is_dropped(monkeypatch):
-    # differentiating 1/v by u gives the unsimplified zero 0/v^2; the
-    # residual must not evaluate it and pull it back through the RLFI adjoint
+    # 1/v differentiates by u to zero; the residual must not evaluate a
+    # partial by u and pull it back through the RLFI adjoint
     built, applied = record_operator_work(monkeypatch)
     g = Grid(0.0, 1.0, 1024)
     p = half_problem("log(v) + 1/v - v")

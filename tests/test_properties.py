@@ -1,13 +1,15 @@
 """Property tests for the exact discrete identities, the Toeplitz matvec
-against direct convolution, the parse/print round trip, certify's
-one-pass grid sampling against scalar evaluation, and the convexity
-verdict on quadratic Lagrangians.
+against direct convolution, the parse/print round trip, the constants of
+differentiate, certify's one-pass grid sampling against scalar
+evaluation, and the convexity verdict on quadratic Lagrangians.
 
 Sizes run from 1 to 300 cells (to 3000 for the matvec, across both of its
 cutoffs), orders over the open interval (0, 1), and samples over random
 node vectors.  Examples are derandomized, so every run checks the same
 cases.
 """
+import warnings
+
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -40,6 +42,7 @@ from fracvar.expressions import (
     Var,
     differentiate,
     evaluate,
+    free_vars,
     parse,
     simplify,
     to_string,
@@ -241,6 +244,31 @@ def test_to_string_fixpoint_on_simplified(e):
     # Neg(Num): the tree changes, its printed form must not
     printed = to_string(simplify(e))
     assert to_string(parse(printed)) == printed
+
+
+def exponent_reads(e, name: str) -> bool:
+    """Whether the exponent of some power in e reads name."""
+    if isinstance(e, Bin):
+        return ((e.op == "^" and name in free_vars(e.rhs))
+                or exponent_reads(e.lhs, name) or exponent_reads(e.rhs, name))
+    if isinstance(e, (Neg, Call)):
+        return exponent_reads(e.arg, name)
+    return False
+
+
+@settings(PROPERTY, max_examples=500)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("x", "u", "v", "w")))
+def test_differentiate_treats_what_does_not_read_the_name_as_a_constant(seed, name):
+    # a tree without the name differentiates to exactly zero, and only an
+    # exponent that reads the name takes the exp/log rewrite, which warns
+    e = random_expr(np.random.default_rng(seed), 4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        d = differentiate(e, name)
+    if name not in free_vars(e):
+        assert d == Num(0.0)
+    if not exponent_reads(e, name):
+        assert caught == []
 
 
 # ------------------------------------------- certify's one-pass grid sampling

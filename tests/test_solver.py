@@ -120,6 +120,14 @@ def test_mixed_channels_converge():
     assert el_residual(p, report.y, g).norm <= 1e-6
 
 
+def test_a_term_without_the_channel_runs_at_x_zero(grid64):
+    # u*x^x differentiates by u to x^x, which is 1 at x = 0, and by v to
+    # zero, so no partial holds a 0/x term, undefined at x = 0
+    p = VarProblem(0.0, 1.0, alphas=0.5, betas=0.5, lagrangian="(v - 1)^2 + u*x^x",
+                   pins=(0.0, None))
+    assert minimize(p, grid64).converged
+
+
 def test_log_lagrangian_without_pins(grid64):
     # no pin and no u channel: the node-0 continuation leaves H singular by
     # one; CG, with node 0 given node 1's preconditioner weight, still

@@ -136,6 +136,11 @@ VARIANTS = {
     "convex-hessian-only": ("certify_convex_mixed", {"lagrangian": "v^4 - v^2/100"}, []),
     "pins-null": ("solve_quadratic", {"pins": None}, []),
     "literal-overflow": ("functional_zero", {"lagrangian": "v^2 + 1e999*u"}, []),
+    # x^x reads no channel, so the partial by u of u*x^x is x^x, defined at x = 0
+    "el-residual-x-pow-x": ("el_residual_extremal", {"lagrangian": "v^2 + u*x^x"}, []),
+    # a negative literal exponent takes the power rule, without the exp/log warning
+    "solve-negative-exponent": (
+        "solve_quadratic", {"lagrangian": "(v - 1)^2 + (v^2 + 1)^-1"}, []),
 }
 
 _RESIDUAL_COLUMN = re.compile(r"residual|r\d+")
